@@ -88,6 +88,11 @@ impl MagnitudeTracker {
         out
     }
 
+    /// The sliding-window length (bins).
+    pub(crate) fn window_bins(&self) -> usize {
+        self.window_bins
+    }
+
     /// Number of ASes currently tracked.
     pub fn tracked_ases(&self) -> usize {
         self.known.len()

@@ -604,6 +604,7 @@ impl Analyzer {
         tune: impl FnOnce(&mut DetectorConfig),
     ) -> Result<Self, SnapshotError> {
         let mut cfg = DetectorConfig::restore_from(r)?;
+        let window_bins = cfg.magnitude_window_bins;
         tune(&mut cfg);
         if cfg.validate().is_err() {
             return Err(SnapshotError::Corrupt("invalid config"));
@@ -633,6 +634,11 @@ impl Analyzer {
             repaired: r.u64()?,
         };
         let magnitudes = MagnitudeTracker::restore_from(r)?;
+        if magnitudes.window_bins() != window_bins {
+            return Err(SnapshotError::Corrupt(
+                "magnitude window differs from config",
+            ));
+        }
         let events = EmpathyExtractor::restore_from(r)?;
         Ok(Analyzer {
             cfg,

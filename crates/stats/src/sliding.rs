@@ -23,12 +23,17 @@ pub struct SlidingRobust {
 impl SlidingRobust {
     /// Create a window holding at most `capacity` values.
     ///
+    /// The buffer grows as values arrive instead of reserving `capacity`
+    /// up front, so a capacity never drives an allocation by itself: a
+    /// window sized from untrusted input (a snapshot field) costs only
+    /// the values it actually holds.
+    ///
     /// # Panics
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         SlidingRobust {
-            window: VecDeque::with_capacity(capacity),
+            window: VecDeque::new(),
             capacity,
         }
     }

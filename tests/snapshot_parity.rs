@@ -351,6 +351,52 @@ fn truncated_and_corrupt_snapshots_are_rejected_not_panics() {
     assert!(Analyzer::restore(&flipped).is_err(), "bad magic accepted");
 }
 
+/// An inflated magnitude-window field must be an error, not an abort: the
+/// tracker's window is a snapshot field, and a flipped high bit once made
+/// `Analyzer::restore` reserve a 16 GiB window and abort the process. The
+/// window must also agree with the snapshot's own configuration.
+#[test]
+fn inflated_magnitude_window_is_rejected_not_an_abort() {
+    // A distinctive window so its two encodings (the config field and
+    // the tracker field) can be found in the bytes.
+    const WINDOW: usize = 1_000_003;
+    let cfg = DetectorConfig {
+        magnitude_window_bins: WINDOW,
+        ..DetectorConfig::fast_test()
+    };
+    let mut analyzer = Analyzer::new(cfg, mapper());
+    for (bin, records) in schedule() {
+        analyzer.process_bin(bin, &records);
+    }
+    let bytes = analyzer.snapshot();
+    let needle = (WINDOW as u64).to_le_bytes();
+    let at: Vec<usize> = bytes
+        .windows(needle.len())
+        .enumerate()
+        .filter(|(_, w)| *w == needle)
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(at.len(), 2, "expected the config and tracker encodings");
+    let inflated = (1u64 << 31).to_le_bytes();
+
+    // The tracker field alone: it no longer matches the config.
+    let mut tracker_only = bytes.clone();
+    tracker_only[at[1]..at[1] + 8].copy_from_slice(&inflated);
+    assert!(
+        Analyzer::restore(&tracker_only).is_err(),
+        "a tracker window differing from the config was accepted"
+    );
+
+    // Both fields, consistently: a valid (if absurd) window. Restore and
+    // the next bins must run without reserving it.
+    let mut both = bytes.clone();
+    for &i in &at {
+        both[i..i + 8].copy_from_slice(&inflated);
+    }
+    let mut restored = Analyzer::restore(&both).expect("a consistent window restores");
+    restored.process_bin(BinId(100), &delay_records(100, false));
+}
+
 /// Decode a generated spec into a traceroute record (same tiny address
 /// space as the ingest-parity generator, so key collisions are common).
 fn record_from_spec(i: usize, hops: &[Vec<u32>]) -> TracerouteRecord {
