@@ -144,16 +144,6 @@ impl Default for DetectorConfig {
 }
 
 impl DetectorConfig {
-    /// Resolved engine worker count: `threads`, or every available core
-    /// when it is `0`.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.threads
-        }
-    }
-
     /// A configuration suited to short unit-test scenarios: faster-moving
     /// references and a short magnitude window.
     pub fn fast_test() -> Self {

@@ -42,12 +42,13 @@
 //! ([`pipeline::Analyzer::sanitize_stats`] /
 //! [`stream::StreamRouter::sanitize_stats`]).
 //!
-//! [`pipeline::Analyzer`] wires the stages together for both offline batch
-//! runs and the §8 streaming ("Internet Health Report") mode;
-//! [`stream::StreamRouter`] scales that to a fleet of analyzers — one per
-//! concurrent measurement stream — sharing one engine pool with merged
-//! cross-stream reporting. The [`baseline`] module carries the non-robust
-//! comparison detectors used by the ablation benches.
+//! [`pipeline::Analyzer`] wires the stages together for one measurement
+//! stream; [`stream::StreamRouter`] holds a fleet of analyzers — one per
+//! concurrent measurement stream — with merged cross-stream reporting.
+//! Both are driven by [`session`]: one bin executor runs a solo analyzer
+//! as a fleet of one, for offline batch runs and the §8 streaming
+//! ("Internet Health Report") mode alike. The [`baseline`] module carries
+//! the non-robust comparison detectors used by the ablation benches.
 //!
 //! ## Performance
 //!
@@ -60,8 +61,9 @@
 //!   buffers, concatenated per shard **in chunk order** so grouped
 //!   output is byte-identical for any chunk size or thread count
 //!   ([`ingest`]). Bins can also be fed incrementally as slices arrive
-//!   ([`pipeline::Analyzer::begin_bin`] / [`pipeline::Analyzer::ingest`]
-//!   / [`pipeline::Analyzer::finish_bin`]) with the identical result.
+//!   (a session's `begin_bin` / `ingest` / `finish_bin`, see
+//!   [`session::AnalysisSession`]): each slice scatters on arrival, with
+//!   the identical result.
 //! * **Persistent interning epochs** — links, probes, pattern keys, and
 //!   next hops intern into dense ids once and stay interned across bins:
 //!   steady-state bins perform zero intern-table insertions (counted by
@@ -98,23 +100,22 @@
 //!   [`pipeline::Analyzer::process_bin`], so delay-link shards and
 //!   forwarding-pattern shards interleave on the same cores (§4 ∥ §5)
 //!   instead of racing as two thread herds.
-//! * **One worker pool for a whole fleet** — [`stream::StreamRouter`]
-//!   stages every member analyzer's bin first, then runs ALL streams'
-//!   shard jobs on one pool: stream A's delay shards interleave with
-//!   stream B's forwarding shards. Per-stream state stays per-stream;
+//! * **One worker pool for a whole fleet** — the session executor
+//!   pools every [`stream::StreamRouter`] member's jobs in each wave on
+//!   one pool: stream A's delay shards interleave with stream B's
+//!   forwarding shards. Per-stream state stays per-stream;
 //!   the merged [`stream::FleetReport`] sums per-AS severities across
 //!   streams and normalizes them against a fleet-level baseline. See
 //!   `src/README.md` for the architecture and the full determinism
 //!   contract.
-//! * **Cross-bin pipelining** — the depth-2 pipelined executor
-//!   ([`pipeline::Analyzer::pipelined`] →
-//!   [`pipeline::PipelinedDriver`]; fleet twin
-//!   [`stream::StreamRouter::pipelined`]) overlaps bin *n+1*'s scatter
-//!   chunks with bin *n*'s shard jobs as one two-lane wave on the same
-//!   herd: the arenas double-buffer their chunk lanes, intern epochs
-//!   advance only at the serial merge fence between waves, and
-//!   compaction sweeps are fenced into drained gaps. Reports emerge
-//!   strictly in bin order, byte-identical to the serial schedule.
+//! * **Cross-bin pipelining** — at depth 2 the session executor
+//!   ([`session`]) overlaps bin *n+1*'s first scatter slice with bin
+//!   *n*'s shard jobs as one two-lane wave on the same herd: the arenas
+//!   double-buffer their chunk lanes, intern epochs advance only at the
+//!   serial merge fence, and compaction sweeps are fenced into drained
+//!   gaps. Depth 1 is the same executor with the overlap lane empty.
+//!   Reports emerge strictly in bin order, byte-identical to the serial
+//!   schedule.
 //! * **Radix grouping** — the per-shard grouping sort runs a stable
 //!   LSD radix sort over the packed `u64` run keys
 //!   (`pinpoint_stats::sort_by_u64_key`): an XOR-diff pre-pass skips
@@ -194,8 +195,8 @@ pub use config::DetectorConfig;
 pub use diffrtt::{DelayAlarm, DelayDetector};
 pub use forwarding::{ForwardingAlarm, ForwardingDetector, NextHop};
 pub use ingest::IngestStats;
-pub use pipeline::{Analyzer, BinReport, PipelinedDriver};
+pub use pipeline::{Analyzer, BinReport};
 pub use sanitize::SanitizeStats;
 pub use session::{AnalysisSession, AnalyzerSession, BinSource, FleetSession};
 pub use snapshot::SnapshotError;
-pub use stream::{FleetPipelinedDriver, FleetReport, StreamId, StreamRouter};
+pub use stream::{FleetReport, StreamId, StreamRouter};

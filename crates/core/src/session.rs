@@ -1,47 +1,50 @@
-//! The unified bin-analysis session API.
+//! The session API and the one bin executor behind it.
 //!
-//! Four entry paths grew onto the pipeline over time — batch
-//! ([`Analyzer::process_bin`]), incremental ([`Analyzer::begin_bin`] /
-//! [`Analyzer::ingest`] / [`Analyzer::finish_bin`]), cross-bin pipelined
-//! ([`Analyzer::pipelined`]), and the fleet twins on
-//! [`StreamRouter`] — each with its own calling convention and its own
-//! report cadence. Every consumer (scenario runners, benches, the live
-//! service) had to pick one and hard-code its shape.
+//! Every way of feeding bins — whole bins or record slices as they arrive
+//! from the streaming Atlas API, serial or with bin *n+1*'s ingestion
+//! overlapped with bin *n*'s analysis, one stream or a fleet — is one
+//! [`AnalysisSession`]. Reports come back **strictly in bin order**, but
+//! at pipeline depth 2 one bin late: each bin returns the *previous*
+//! bin's report and `flush` returns the last one. Depth-1 sessions report
+//! every bin at once. [`BinSource`] is anything that yields `(BinId, feed)`
+//! pairs in bin order, and [`drive`] runs a source through a session.
 //!
-//! This module folds them behind two small traits:
+//! [`AnalyzerSession`] (from [`Analyzer::session`]) and [`FleetSession`]
+//! (from [`StreamRouter::session`]) are thin shells over one private
+//! executor that drives a slice of [`Analyzer`]s — one, or one per
+//! stream — through open, scatter, intern merge, shard wave, stamp and
+//! absorb. The solo session returns the single per-stream report as it
+//! is; the fleet session passes the reports through the router's merge.
 //!
-//! * [`AnalysisSession`] — one open-ended run over consecutive bins.
-//!   `begin_bin` / `ingest` / `finish_bin` feed a bin in slices as they
-//!   arrive; [`AnalysisSession::push_bin`] feeds a whole bin at once
-//!   (zero-copy — no staging buffer is touched); [`AnalysisSession::flush`]
-//!   drains whatever the executor still holds. Reports come back from
-//!   `finish_bin` / `push_bin` / `flush` **strictly in bin order**, but
-//!   possibly delayed: at pipeline depth 2 each push returns the
-//!   *previous* bin's report and `flush` returns the last one, exactly
-//!   like the raw [`PipelinedDriver`]. Depth-1 sessions return every
-//!   report immediately and `flush` returns `None`. Consumers that
-//!   handle the `Option` uniformly are automatically correct at every
-//!   depth — that is the point of the trait.
-//! * [`BinSource`] — anything that yields `(BinId, feed)` pairs in
-//!   increasing bin order. Every `Iterator<Item = (BinId, F)>` is a
-//!   `BinSource` for free, so `platform.stream(..)`, a `Vec` of
-//!   pre-collected bins, or a channel-draining adapter all plug in
-//!   unchanged.
+//! Slices scatter as they arrive, at both depths. A bin's first slice
+//! opens it: at depth 2 it rides one two-lane engine wave with the
+//! pending bin's shard jobs, on the opposite chunk lane; with nothing
+//! pending it opens the lane normally. Later slices append to the lane.
+//! `finish_bin` merges the bin's interned keys; at depth 1 it runs the
+//! bin's shard wave at once, at depth 2 the bin stays pending. A bin with
+//! no slices drains the pending bin and then opens normally. Depth 1 is
+//! therefore the depth-2 executor with the overlap lane always empty.
+//! Two serial fences keep the overlap byte-identical to the serial
+//! schedule: intern ids are assigned only at the merge, in bin order, and
+//! a compaction sweep runs only after draining the pending bin (the epoch
+//! fence, checked at `begin_bin`). `src/README.md` gives the argument.
 //!
-//! [`drive`] connects the two: it exhausts a source through a session
-//! and hands every report to an observer, which is the whole run loop of
-//! `scenarios::run_pipelined` and of the live service's executor thread.
+//! The executor reads `threads` and `pipeline_depth` from the members'
+//! [`DetectorConfig`](crate::DetectorConfig) (the first member's, for a
+//! fleet). `depth` 0 resolves `pipeline_depth` (whose own 0 means 2), 1 is
+//! strictly serial, deeper clamps to 2, and a one-worker herd always runs
+//! serially. Reports are byte-identical across every depth, thread count,
+//! chunk size and slicing of the feed.
 //!
-//! The concrete sessions are [`AnalyzerSession`] (solo pipeline, created
-//! by [`Analyzer::session`]) and [`FleetSession`] (stream fleet, created
-//! by [`StreamRouter::session`]). Both resolve `depth` with the usual
-//! knob convention (`0` → `DetectorConfig::pipeline_depth` → engine
-//! default 2; `1` = strictly serial) and both inherit the determinism
-//! contract: for a fixed record sequence the emitted reports are
-//! byte-identical across every depth, thread count, and chunk size.
+//! While a bin is open or pending, the members refuse to snapshot — a
+//! half-analyzed bin is not resumable state; `flush` first, or use
+//! [`AnalysisSession::checkpoint`]. Dropping a session abandons the bin it
+//! holds (a report computed but not yet returned is lost), and the members
+//! keep refusing until a later session completes a bin or flushes.
 
-use crate::pipeline::{Analyzer, BinReport, PipelinedDriver};
-use crate::stream::{FleetPipelinedDriver, FleetReport, StreamRouter};
+use crate::engine::{self, Wave};
+use crate::pipeline::{Analyzer, AnalyzerStage, BinReport, StagedBin};
+use crate::stream::{FleetReport, StreamRouter};
 use pinpoint_model::records::TracerouteRecord;
 use pinpoint_model::BinId;
 use std::borrow::Borrow;
@@ -103,9 +106,8 @@ pub trait AnalysisSession {
     /// Without an open bin.
     fn finish_bin(&mut self) -> Option<Self::Report>;
 
-    /// Feed one whole bin at once. Equivalent to `begin_bin` + `ingest` +
-    /// `finish_bin` but zero-copy: the input slice goes straight to the
-    /// executor without touching the session's staging buffer.
+    /// Feed one whole bin at once: `begin_bin` + one `ingest` +
+    /// `finish_bin`.
     ///
     /// # Panics
     /// When a bin is open, or `bin` does not increase.
@@ -132,7 +134,7 @@ pub trait AnalysisSession {
     /// ([`BinReport::events`](crate::pipeline::BinReport::events) /
     /// [`FleetReport::events`](crate::stream::FleetReport::events));
     /// this reads the same state between bins, e.g. for a final
-    /// listing. Reflects only *reported* bins — with pipelined lanes, a
+    /// listing. Reflects only *reported* bins — at depth 2, a
     /// pushed-but-unreported bin is not yet visible.
     fn events(&self) -> Vec<crate::aggregate::FleetEvent>;
 
@@ -171,52 +173,238 @@ where
     }
 }
 
-/// Which executor a solo session runs on.
-enum Lanes<'a> {
-    /// Depth 1: the strictly serial schedule, delegating to the
-    /// analyzer's native batch / incremental paths.
-    Serial(&'a mut Analyzer),
-    /// Depth 2: the cross-bin pipelined executor.
-    Pipelined(PipelinedDriver<'a>),
+/// One bin between `begin_bin` and `finish_bin`.
+struct Open {
+    bin: BinId,
+    /// Records fed so far, per member.
+    records: Vec<usize>,
+    /// Whether the first slice has opened the members' chunk lanes.
+    scattered: bool,
+    /// Whether the epoch fence already swept at this bin.
+    swept: bool,
+}
+
+/// A bin scattered and merged whose shard wave has not run yet.
+struct Pending {
+    bin: BinId,
+    records: Vec<usize>,
+}
+
+/// The one bin executor (see the [module docs](self)): drives a slice of
+/// analyzers through open, scatter, intern merge, shard wave, stamp and
+/// absorb, with the depth-2 overlap lane and the epoch fence written once.
+/// The members are passed to every call, so a fleet session can lend the
+/// router's streams and keep the router for the merge.
+struct Executor {
+    depth: usize,
+    threads: usize,
+    /// Last bin opened — enforces the increasing-order contract at every
+    /// depth.
+    last: Option<BinId>,
+    open: Option<Open>,
+    /// The bin whose shard wave rides the next bin's first slice (depth 2
+    /// only; depth 1 drains it in the same `finish`).
+    pending: Option<Pending>,
+    /// Per-member reports of the bin absorbed since the last `finish`.
+    ready: Option<(BinId, Vec<BinReport>)>,
+}
+
+impl Executor {
+    fn new(members: &[Analyzer], depth: usize) -> Self {
+        let cfg = members.first().map(Analyzer::config);
+        let threads = cfg.map_or(0, |c| c.threads);
+        let depth = match depth {
+            0 => cfg.map_or(0, |c| c.pipeline_depth),
+            depth => depth,
+        };
+        Executor {
+            depth: engine::resolve_schedule(depth, threads),
+            threads: engine::resolve_threads(threads),
+            last: None,
+            open: None,
+            pending: None,
+            ready: None,
+        }
+    }
+
+    /// Mark the members busy while any bin is open or pending: the
+    /// snapshot guard.
+    fn mark(&self, members: &mut [Analyzer]) {
+        let busy = self.open.is_some() || self.pending.is_some();
+        for a in members {
+            a.in_flight = busy;
+        }
+    }
+
+    fn begin(&mut self, members: &mut [Analyzer], bin: BinId) {
+        assert!(
+            self.open.is_none(),
+            "begin_bin called while a bin is already open (finish_bin first)"
+        );
+        if let Some(last) = self.last {
+            assert!(
+                bin.0 > last.0,
+                "bins must be fed in increasing order ({bin:?} after {last:?})"
+            );
+        }
+        self.last = Some(bin);
+        // Epoch fence: drain, sweep, and let the first slice refill.
+        let swept = self.pending.is_some() && members.iter().any(|a| a.needs_compaction(bin));
+        if swept {
+            self.drain(members);
+            for a in members.iter_mut() {
+                a.compact_epochs(bin);
+            }
+        }
+        self.open = Some(Open {
+            bin,
+            records: vec![0; members.len()],
+            scattered: false,
+            swept,
+        });
+        self.mark(members);
+    }
+
+    fn ingest<F: AsRef<[TracerouteRecord]>>(&mut self, members: &mut [Analyzer], feeds: &[F]) {
+        assert_eq!(
+            feeds.len(),
+            members.len(),
+            "one feed per stream (streams: {}, feeds: {})",
+            members.len(),
+            feeds.len()
+        );
+        let open = self.open.as_mut().expect("ingest called without begin_bin");
+        for (n, feed) in open.records.iter_mut().zip(feeds) {
+            *n += feed.as_ref().len();
+        }
+        let (bin, first, compact) = (open.bin, !open.scattered, !open.swept);
+        open.scattered = true;
+        let threads = self.threads;
+        let pending = match self.pending.take() {
+            Some(pending) if first => pending,
+            pending => {
+                // A later slice appends to the open bin's chunk lane; a
+                // first slice with nothing to overlap opens it normally.
+                self.pending = pending;
+                let mut wave = Wave::new();
+                for (a, feed) in members.iter_mut().zip(feeds) {
+                    let feed = feed.as_ref();
+                    wave.push_scatter(if first {
+                        a.open_scatter(bin, feed, compact, threads)
+                    } else {
+                        a.append_scatter(feed, threads)
+                    });
+                }
+                wave.run(threads);
+                return;
+            }
+        };
+        // The overlap: the pending bin's shard jobs and this slice's
+        // scatter chunks run as one two-lane wave on one worker herd.
+        let staged = {
+            let mut stages = Vec::with_capacity(members.len());
+            let mut wave = Wave::new();
+            for (a, feed) in members.iter_mut().zip(feeds) {
+                let (stage, scatter) = a.overlap_wave(pending.bin, feed.as_ref(), threads);
+                wave.push_scatter(scatter);
+                stages.push(stage);
+            }
+            for stage in &mut stages {
+                wave.push_analysis(stage.jobs());
+            }
+            wave.run(threads);
+            stages.into_iter().map(AnalyzerStage::finish).collect()
+        };
+        self.absorb(members, pending, staged);
+    }
+
+    fn finish(&mut self, members: &mut [Analyzer]) -> Option<(BinId, Vec<BinReport>)> {
+        let open = self
+            .open
+            .as_ref()
+            .expect("finish_bin called without begin_bin");
+        if !open.scattered {
+            // A bin with no slices: drain, then open it normally.
+            self.drain(members);
+            let empty: &[TracerouteRecord] = &[];
+            self.ingest(members, &vec![empty; members.len()]);
+        }
+        let Open { bin, records, .. } = self.open.take().expect("checked above");
+        for a in members.iter_mut() {
+            a.merge_scatter(bin);
+        }
+        self.pending = Some(Pending { bin, records });
+        if self.depth == 1 {
+            self.drain(members);
+        }
+        self.mark(members);
+        self.ready.take()
+    }
+
+    fn flush(&mut self, members: &mut [Analyzer]) -> Option<(BinId, Vec<BinReport>)> {
+        assert!(
+            self.open.is_none(),
+            "flush called while a bin is open (finish_bin first)"
+        );
+        self.drain(members);
+        self.mark(members);
+        self.ready.take()
+    }
+
+    /// Shards-only wave for the pending bin, if any.
+    fn drain(&mut self, members: &mut [Analyzer]) {
+        let Some(pending) = self.pending.take() else {
+            return;
+        };
+        let threads = self.threads;
+        let staged = {
+            let mut stages: Vec<_> = members
+                .iter_mut()
+                .map(|a| a.stage(pending.bin, threads))
+                .collect();
+            let mut jobs = Vec::new();
+            for stage in &mut stages {
+                jobs.extend(stage.jobs());
+            }
+            engine::run_jobs(jobs, threads);
+            stages.into_iter().map(AnalyzerStage::finish).collect()
+        };
+        self.absorb(members, pending, staged);
+    }
+
+    /// The post-wave fences: stamp each member's epoch tables, then fold
+    /// its staged outputs into a report.
+    fn absorb(&mut self, members: &mut [Analyzer], pending: Pending, staged: Vec<StagedBin>) {
+        let reports = members
+            .iter_mut()
+            .zip(pending.records)
+            .zip(staged)
+            .map(|((a, records), staged)| {
+                a.stamp_bin(pending.bin);
+                a.absorb(pending.bin, records, staged)
+            })
+            .collect();
+        debug_assert!(self.ready.is_none(), "one report per finish");
+        self.ready = Some((pending.bin, reports));
+    }
+}
+
+/// The solo report of a one-member executor.
+fn solo((_, mut reports): (BinId, Vec<BinReport>)) -> BinReport {
+    reports.pop().expect("one member, one report")
 }
 
 /// A solo-analyzer [`AnalysisSession`] (create with
-/// [`Analyzer::session`]). At depth 1 it delegates straight to the
-/// analyzer's batch and incremental paths; at depth 2 it drives the
-/// cross-bin [`PipelinedDriver`], staging incrementally-ingested slices
-/// in a reused buffer until `finish_bin` (while [`AnalyzerSession::push_bin`]
-/// bypasses the buffer entirely). Reports are byte-identical across
-/// depths.
+/// [`Analyzer::session`]): the executor over one member.
 pub struct AnalyzerSession<'a> {
-    lanes: Lanes<'a>,
-    /// The incrementally-open bin, if any (pipelined lane only — the
-    /// serial lane reuses the analyzer's own open-bin bookkeeping).
-    open: Option<BinId>,
-    /// Staging buffer for incrementally-ingested slices at depth 2
-    /// (reused across bins; empty in steady push_bin use).
-    buffer: Vec<TracerouteRecord>,
+    analyzer: &'a mut Analyzer,
+    executor: Executor,
 }
 
 impl<'a> AnalyzerSession<'a> {
     pub(crate) fn new(analyzer: &'a mut Analyzer, depth: usize) -> Self {
-        let depth = crate::engine::resolve_schedule(
-            if depth == 0 {
-                analyzer.config().pipeline_depth
-            } else {
-                depth
-            },
-            analyzer.config().threads,
-        );
-        let lanes = if depth == 1 {
-            Lanes::Serial(analyzer)
-        } else {
-            Lanes::Pipelined(analyzer.pipelined(depth))
-        };
-        AnalyzerSession {
-            lanes,
-            open: None,
-            buffer: Vec::new(),
-        }
+        let executor = Executor::new(std::slice::from_ref(analyzer), depth);
+        AnalyzerSession { analyzer, executor }
     }
 
     /// The underlying analyzer — intern-epoch and sanitizer counters
@@ -224,10 +412,7 @@ impl<'a> AnalyzerSession<'a> {
     /// working mid-session, which is how the live service's `/stats`
     /// endpoint reads them.
     pub fn analyzer(&self) -> &Analyzer {
-        match &self.lanes {
-            Lanes::Serial(a) => a,
-            Lanes::Pipelined(d) => d.analyzer(),
-        }
+        self.analyzer
     }
 }
 
@@ -236,134 +421,65 @@ impl AnalysisSession for AnalyzerSession<'_> {
     type Report = BinReport;
 
     fn begin_bin(&mut self, bin: BinId) {
-        match &mut self.lanes {
-            Lanes::Serial(a) => a.begin_bin(bin),
-            Lanes::Pipelined(_) => {
-                assert!(
-                    self.open.is_none(),
-                    "begin_bin called while a bin is already open (finish_bin first)"
-                );
-                self.open = Some(bin);
-                self.buffer.clear();
-            }
-        }
+        self.executor
+            .begin(std::slice::from_mut(self.analyzer), bin);
     }
 
     fn ingest(&mut self, input: &[TracerouteRecord]) {
-        match &mut self.lanes {
-            Lanes::Serial(a) => a.ingest(input),
-            Lanes::Pipelined(_) => {
-                assert!(self.open.is_some(), "ingest called without begin_bin");
-                self.buffer.extend_from_slice(input);
-            }
-        }
+        self.executor
+            .ingest(std::slice::from_mut(self.analyzer), &[input]);
     }
 
     fn finish_bin(&mut self) -> Option<BinReport> {
-        match &mut self.lanes {
-            Lanes::Serial(a) => Some(a.finish_bin()),
-            Lanes::Pipelined(d) => {
-                let bin = self
-                    .open
-                    .take()
-                    .expect("finish_bin called without begin_bin");
-                let report = d.push_bin(bin, &self.buffer);
-                self.buffer.clear();
-                report
-            }
-        }
-    }
-
-    fn push_bin(&mut self, bin: BinId, input: &[TracerouteRecord]) -> Option<BinReport> {
-        assert!(
-            self.open.is_none(),
-            "push_bin called while a bin is open (finish_bin first)"
-        );
-        match &mut self.lanes {
-            Lanes::Serial(a) => Some(a.process_bin(bin, input)),
-            Lanes::Pipelined(d) => d.push_bin(bin, input),
-        }
+        self.executor
+            .finish(std::slice::from_mut(self.analyzer))
+            .map(solo)
     }
 
     fn flush(&mut self) -> Option<BinReport> {
-        assert!(
-            self.open.is_none(),
-            "flush called while a bin is open (finish_bin first)"
-        );
-        match &mut self.lanes {
-            Lanes::Serial(_) => None,
-            Lanes::Pipelined(d) => d.finish(),
-        }
+        self.executor
+            .flush(std::slice::from_mut(self.analyzer))
+            .map(solo)
     }
 
     fn depth(&self) -> usize {
-        match &self.lanes {
-            Lanes::Serial(_) => 1,
-            Lanes::Pipelined(d) => d.depth(),
-        }
+        self.executor.depth
     }
 
     fn events(&self) -> Vec<crate::aggregate::FleetEvent> {
-        self.analyzer().events()
+        self.analyzer.events()
     }
 
     fn checkpoint(&mut self) -> (Option<BinReport>, Vec<u8>) {
         let report = self.flush();
-        (report, self.analyzer().snapshot())
+        (report, self.analyzer.snapshot())
     }
 }
 
-/// Which executor a fleet session runs on.
-enum FleetLanes<'a> {
-    Serial(&'a mut StreamRouter),
-    Pipelined(FleetPipelinedDriver<'a>),
-}
-
 /// A fleet [`AnalysisSession`] over a [`StreamRouter`] (create with
-/// [`StreamRouter::session`]). Input is one feed per stream
-/// (`[Vec<TracerouteRecord>]`, index = [`crate::stream::StreamId`]);
-/// reports are merged [`FleetReport`]s. The router has no native
-/// incremental path, so both depths stage incrementally-ingested slices
-/// in reused per-stream buffers — [`FleetSession::push_bin`] bypasses
-/// them.
+/// [`StreamRouter::session`]): the executor over every stream's analyzer.
+/// Input is one feed per stream (`[Vec<TracerouteRecord>]`, index =
+/// [`crate::stream::StreamId`]); reports are merged [`FleetReport`]s.
 pub struct FleetSession<'a> {
-    lanes: FleetLanes<'a>,
-    open: Option<BinId>,
-    /// Per-stream staging buffers for incremental ingestion (reused
-    /// across bins; empty in steady push_bin use).
-    buffers: Vec<Vec<TracerouteRecord>>,
+    router: &'a mut StreamRouter,
+    executor: Executor,
 }
 
 impl<'a> FleetSession<'a> {
     pub(crate) fn new(router: &'a mut StreamRouter, depth: usize) -> Self {
-        let depth = crate::engine::resolve_schedule(
-            if depth == 0 {
-                router.default_pipeline_depth()
-            } else {
-                depth
-            },
-            router.configured_threads(),
-        );
-        let streams = router.len();
-        let lanes = if depth == 1 {
-            FleetLanes::Serial(router)
-        } else {
-            FleetLanes::Pipelined(router.pipelined(depth))
-        };
-        FleetSession {
-            lanes,
-            open: None,
-            buffers: vec![Vec::new(); streams],
-        }
+        let executor = Executor::new(router.members_mut(), depth);
+        FleetSession { router, executor }
     }
 
     /// The underlying router — fleet-summed [`StreamRouter::ingest_stats`]
     /// / [`StreamRouter::sanitize_stats`] keep working mid-session.
     pub fn router(&self) -> &StreamRouter {
-        match &self.lanes {
-            FleetLanes::Serial(r) => r,
-            FleetLanes::Pipelined(d) => d.router(),
-        }
+        self.router
+    }
+
+    fn merged(&mut self, out: Option<(BinId, Vec<BinReport>)>) -> Option<FleetReport> {
+        let (bin, reports) = out?;
+        Some(self.router.merge(bin, reports))
     }
 }
 
@@ -372,81 +488,34 @@ impl AnalysisSession for FleetSession<'_> {
     type Report = FleetReport;
 
     fn begin_bin(&mut self, bin: BinId) {
-        assert!(
-            self.open.is_none(),
-            "begin_bin called while a bin is already open (finish_bin first)"
-        );
-        self.open = Some(bin);
-        for buffer in &mut self.buffers {
-            buffer.clear();
-        }
+        self.executor.begin(self.router.members_mut(), bin);
     }
 
     fn ingest(&mut self, input: &[Vec<TracerouteRecord>]) {
-        assert!(self.open.is_some(), "ingest called without begin_bin");
-        assert_eq!(
-            input.len(),
-            self.buffers.len(),
-            "one feed per stream (streams: {}, feeds: {})",
-            self.buffers.len(),
-            input.len()
-        );
-        for (buffer, feed) in self.buffers.iter_mut().zip(input) {
-            buffer.extend_from_slice(feed);
-        }
+        self.executor.ingest(self.router.members_mut(), input);
     }
 
     fn finish_bin(&mut self) -> Option<FleetReport> {
-        let bin = self
-            .open
-            .take()
-            .expect("finish_bin called without begin_bin");
-        let report = match &mut self.lanes {
-            FleetLanes::Serial(r) => Some(r.process_bin(bin, &self.buffers)),
-            FleetLanes::Pipelined(d) => d.push_bin(bin, &self.buffers),
-        };
-        for buffer in &mut self.buffers {
-            buffer.clear();
-        }
-        report
-    }
-
-    fn push_bin(&mut self, bin: BinId, input: &[Vec<TracerouteRecord>]) -> Option<FleetReport> {
-        assert!(
-            self.open.is_none(),
-            "push_bin called while a bin is open (finish_bin first)"
-        );
-        match &mut self.lanes {
-            FleetLanes::Serial(r) => Some(r.process_bin(bin, input)),
-            FleetLanes::Pipelined(d) => d.push_bin(bin, input),
-        }
+        let out = self.executor.finish(self.router.members_mut());
+        self.merged(out)
     }
 
     fn flush(&mut self) -> Option<FleetReport> {
-        assert!(
-            self.open.is_none(),
-            "flush called while a bin is open (finish_bin first)"
-        );
-        match &mut self.lanes {
-            FleetLanes::Serial(_) => None,
-            FleetLanes::Pipelined(d) => d.finish(),
-        }
+        let out = self.executor.flush(self.router.members_mut());
+        self.merged(out)
     }
 
     fn depth(&self) -> usize {
-        match &self.lanes {
-            FleetLanes::Serial(_) => 1,
-            FleetLanes::Pipelined(d) => d.depth(),
-        }
+        self.executor.depth
     }
 
     fn events(&self) -> Vec<crate::aggregate::FleetEvent> {
-        self.router().events()
+        self.router.events()
     }
 
     fn checkpoint(&mut self) -> (Option<FleetReport>, Vec<u8>) {
         let report = self.flush();
-        (report, self.router().snapshot())
+        (report, self.router.snapshot())
     }
 }
 
@@ -465,8 +534,12 @@ mod tests {
     /// collapses the overlapped schedule to serial
     /// (`engine::resolve_schedule`), regardless of the host's core count.
     fn pipelined_analyzer() -> Analyzer {
+        analyzer_with_threads(2)
+    }
+
+    fn analyzer_with_threads(threads: usize) -> Analyzer {
         let mut cfg = DetectorConfig::fast_test();
-        cfg.threads = 2;
+        cfg.threads = threads;
         Analyzer::new(cfg, AsMapper::new())
     }
 
@@ -484,9 +557,7 @@ mod tests {
 
     #[test]
     fn one_worker_session_collapses_to_serial() {
-        let mut cfg = DetectorConfig::fast_test();
-        cfg.threads = 1;
-        let mut a = Analyzer::new(cfg, AsMapper::new());
+        let mut a = analyzer_with_threads(1);
         let mut session = a.session(2);
         assert_eq!(session.depth(), 1, "one worker has nothing to overlap");
         // Serial cadence: every push reports its own bin immediately.
@@ -547,12 +618,56 @@ mod tests {
         let mut router = StreamRouter::new();
         router.add_stream("a", pipelined_analyzer());
         router.add_stream("b", pipelined_analyzer());
-        router.set_threads(2);
         let mut session = router.session(2);
         let feeds = vec![Vec::new(), Vec::new()];
         assert!(session.push_bin(BinId(0), &feeds).is_none());
         assert_eq!(session.push_bin(BinId(1), &feeds).unwrap().bin, BinId(0));
         assert_eq!(session.flush().unwrap().bin, BinId(1));
+    }
+
+    #[test]
+    fn fleet_session_reads_threads_and_depth_from_its_members() {
+        let mut router = StreamRouter::new();
+        router.add_stream("a", pipelined_analyzer());
+        assert_eq!(router.session(0).depth(), 2, "two workers overlap");
+        let mut router = StreamRouter::new();
+        router.add_stream("a", analyzer_with_threads(1));
+        assert_eq!(router.session(2).depth(), 1, "one worker runs serially");
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot called while a bin is in flight")]
+    fn snapshot_refuses_an_open_bin_at_depth_1() {
+        let mut a = analyzer();
+        let mut session = a.session(1);
+        session.begin_bin(BinId(0));
+        session.ingest(&[]);
+        session.analyzer().snapshot();
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot called while a bin is in flight")]
+    fn snapshot_refuses_a_pending_bin_at_depth_2() {
+        let mut a = pipelined_analyzer();
+        let mut session = a.session(2);
+        assert!(session.push_bin(BinId(0), &[]).is_none());
+        session.analyzer().snapshot();
+    }
+
+    #[test]
+    fn snapshot_resumes_once_the_session_flushed() {
+        let mut a = pipelined_analyzer();
+        let mut session = a.session(2);
+        session.push_bin(BinId(0), &[]);
+        assert!(session.flush().is_some());
+        session.analyzer().snapshot();
+        let mut router = StreamRouter::new();
+        router.add_stream("a", pipelined_analyzer());
+        let mut session = router.session(2);
+        let (report, _bytes) = session.checkpoint();
+        assert!(report.is_none(), "nothing was in flight");
+        session.push_bin(BinId(0), &[Vec::new()]);
+        assert_eq!(session.checkpoint().0.unwrap().bin, BinId(0));
     }
 
     #[test]

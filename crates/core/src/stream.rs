@@ -6,20 +6,19 @@
 //! each stream needs its own references, sliding windows, and per-AS
 //! baselines (mixing feeds with different probing rates into one analyzer
 //! would smear every reference). [`StreamRouter`] owns one [`Analyzer`]
-//! per stream and runs a whole bin of the fleet through ONE scoped worker
-//! pool, in two waves. The ingestion wave pools every stream's
-//! scatter-chunk jobs — stream A's record→row scatter overlaps stream
-//! B's on the same workers, against each stream's own persistent intern
-//! epoch. The shard wave pools every stream's delay-link shards and
-//! forwarding-pattern shards, dealt round-robin onto the same workers, so
-//! stream A's delay shards interleave with stream B's forwarding shards
-//! instead of each stream spinning up its own thread herd.
+//! per stream. Its session ([`StreamRouter::session`]) runs the fleet on
+//! the same bin executor as a solo analyzer (see [`crate::session`]),
+//! with every stream as a member: each wave pools every stream's jobs on
+//! ONE scoped worker pool — stream A's scatter chunks overlap stream B's,
+//! stream A's delay shards interleave with stream B's forwarding shards —
+//! instead of each stream spinning up its own thread herd. Threads and
+//! pipeline depth come from the members' configuration.
 //!
 //! ## Determinism contract
 //!
 //! The fleet inherits the engine's contract (see `crate::engine`): shard
 //! assignment is stable, job outputs merge in job order, and per-link
-//! randomness derives from `(seed, link, bin)`. On top of that the router
+//! randomness derives from `(seed, link, bin)`. On top of that the fleet
 //! adds *stream ordering*: streams are staged, merged, and aggregated in
 //! the order they were added ([`StreamId`] order), never in completion
 //! order. Under both rules the thread count is purely a throughput knob —
@@ -36,15 +35,16 @@
 //! [`MagnitudeTracker`]. Cross-stream correlation is the point: an event
 //! partially visible from several vantages can cross the reporting
 //! threshold in the merged view while every individual stream stays below
-//! it.
+//! it. [`StreamRouter::merge`] is the one funnel every fleet path flows
+//! through.
 
 use crate::aggregate::{
     merge_severities, AsMagnitude, EmpathyExtractor, FleetEvent, MagnitudeTracker, StreamEvidence,
 };
 use crate::config::DetectorConfig;
-use crate::engine;
 use crate::graph::AlarmGraph;
 use crate::pipeline::{Analyzer, BinReport};
+use crate::session::AnalysisSession;
 use crate::snapshot::{self, Reader, SnapshotError, Writer};
 use pinpoint_model::records::TracerouteRecord;
 use pinpoint_model::{Asn, BinId};
@@ -54,24 +54,18 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StreamId(pub usize);
 
-/// One measurement stream of the fleet: a label (measurement-set name) and
-/// its dedicated analyzer.
-#[derive(Debug)]
-struct Stream {
-    label: String,
-    analyzer: Analyzer,
-}
-
 /// A fleet of per-stream analyzers sharing one engine pool.
 #[derive(Debug)]
 pub struct StreamRouter {
-    streams: Vec<Stream>,
+    /// Each stream's label (measurement-set name), in [`StreamId`] order.
+    labels: Vec<String>,
+    /// Each stream's dedicated analyzer, in [`StreamId`] order.
+    analyzers: Vec<Analyzer>,
     fleet_magnitudes: MagnitudeTracker,
     /// The fleet event channel, created lazily from the first stream's
     /// config at the first merge (a router is assembled before its
     /// streams exist).
     fleet_events: Option<EmpathyExtractor>,
-    threads: usize,
 }
 
 impl Default for StreamRouter {
@@ -90,50 +84,46 @@ impl StreamRouter {
     /// Empty router with an explicit fleet-level magnitude window (bins).
     pub fn with_magnitude_window(window_bins: usize) -> Self {
         StreamRouter {
-            streams: Vec::new(),
+            labels: Vec::new(),
+            analyzers: Vec::new(),
             fleet_magnitudes: MagnitudeTracker::new(window_bins),
             fleet_events: None,
-            threads: 0,
         }
-    }
-
-    /// Worker threads for the shared pool: `0` (default) means "use all
-    /// available cores". Purely a throughput knob — output is
-    /// byte-identical for any value.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
     }
 
     /// Add a stream; its analyzer keeps all per-stream state (references,
     /// sliding windows, magnitude baselines). Returns the stream's id —
     /// also its index into [`FleetReport::streams`].
     pub fn add_stream(&mut self, label: impl Into<String>, analyzer: Analyzer) -> StreamId {
-        let id = StreamId(self.streams.len());
-        self.streams.push(Stream {
-            label: label.into(),
-            analyzer,
-        });
-        id
+        self.labels.push(label.into());
+        self.analyzers.push(analyzer);
+        StreamId(self.analyzers.len() - 1)
     }
 
     /// Number of streams in the fleet.
     pub fn len(&self) -> usize {
-        self.streams.len()
+        self.analyzers.len()
     }
 
     /// Whether the fleet has no streams.
     pub fn is_empty(&self) -> bool {
-        self.streams.is_empty()
+        self.analyzers.is_empty()
     }
 
     /// The label a stream was added under.
     pub fn label(&self, id: StreamId) -> &str {
-        &self.streams[id.0].label
+        &self.labels[id.0]
     }
 
     /// A stream's analyzer.
     pub fn analyzer(&self, id: StreamId) -> &Analyzer {
-        &self.streams[id.0].analyzer
+        &self.analyzers[id.0]
+    }
+
+    /// Every stream's analyzer, in [`StreamId`] order — the executor's
+    /// members.
+    pub(crate) fn members_mut(&mut self) -> &mut [Analyzer] {
+        &mut self.analyzers
     }
 
     /// Pre-register ASes for magnitude tracking in the fleet view AND in
@@ -141,83 +131,22 @@ impl StreamRouter {
     pub fn register_ases<I: IntoIterator<Item = Asn>>(&mut self, ases: I) {
         let ases: Vec<Asn> = ases.into_iter().collect();
         self.fleet_magnitudes.register(ases.iter().copied());
-        for stream in &mut self.streams {
-            stream.analyzer.register_ases(ases.iter().copied());
+        for analyzer in &mut self.analyzers {
+            analyzer.register_ases(ases.iter().copied());
         }
     }
 
-    /// Resolved worker count for one fleet bin — the same resolution a
-    /// solo analyzer uses.
-    fn effective_threads(&self) -> usize {
-        engine::resolve_threads(self.threads)
-    }
-
-    /// The raw `set_threads` knob, for schedule resolution (the fleet's
-    /// twin of `DetectorConfig::threads`).
-    pub(crate) fn configured_threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Run one bin of the whole fleet through one shared worker pool.
-    ///
-    /// `feeds[i]` is the record feed of stream `i` (one slot per stream,
-    /// empty when the stream saw no traffic this bin). The fleet bin runs
-    /// as two pooled waves: first every stream's scatter-chunk jobs
-    /// (stream A's ingestion overlaps stream B's on the same workers),
-    /// then — after the per-stream chunk-ordered intern merges, done in
-    /// stream order — every stream's delay and forwarding shard jobs.
-    /// The engine deals each wave's jobs round-robin onto one set of
-    /// scoped workers, so the fleet runs as one thread herd.
+    /// Run one bin of the whole fleet through one shared worker pool: a
+    /// depth-1 session fed the whole bin at once. `feeds[i]` is the record
+    /// feed of stream `i` (one slot per stream, empty when the stream saw
+    /// no traffic this bin).
     ///
     /// # Panics
     /// When `feeds.len()` differs from the number of streams.
     pub fn process_bin(&mut self, bin: BinId, feeds: &[Vec<TracerouteRecord>]) -> FleetReport {
-        assert_eq!(
-            feeds.len(),
-            self.streams.len(),
-            "one feed per stream (streams: {}, feeds: {})",
-            self.streams.len(),
-            feeds.len()
-        );
-        let threads = self.effective_threads();
-        // Ingestion wave: every stream's scatter chunks on one pool.
-        {
-            let mut wave = engine::Wave::new();
-            for (stream, records) in self.streams.iter_mut().zip(feeds) {
-                wave.push_scatter(stream.analyzer.scatter_jobs(bin, records, threads));
-            }
-            wave.run(threads);
-        }
-        // Chunk-ordered intern merges, in stream order.
-        for stream in &mut self.streams {
-            stream.analyzer.merge_scatter(bin);
-        }
-        // Shard wave: stage every stream, pool every job, run once.
-        let staged: Vec<_> = {
-            let mut stages: Vec<_> = self
-                .streams
-                .iter_mut()
-                .map(|stream| stream.analyzer.stage(bin, threads))
-                .collect();
-            let mut jobs = Vec::new();
-            for stage in &mut stages {
-                jobs.extend(stage.jobs());
-            }
-            engine::run_jobs(jobs, threads);
-            stages.into_iter().map(|stage| stage.finish()).collect()
-        };
-        // Aggregate per stream in stream order, then merge.
-        let reports: Vec<BinReport> = self
-            .streams
-            .iter_mut()
-            .zip(feeds)
-            .zip(staged)
-            .map(|((stream, records), staged)| {
-                stream.analyzer.stamp_bin(bin);
-                stream.analyzer.absorb(bin, records.len(), staged)
-            })
-            .collect();
-        self.merge(bin, reports)
+        self.session(1)
+            .push_bin(bin, feeds)
+            .expect("a depth-1 session reports every bin")
     }
 
     /// Single-threaded reference path: every stream runs
@@ -231,43 +160,42 @@ impl StreamRouter {
     ) -> FleetReport {
         assert_eq!(
             feeds.len(),
-            self.streams.len(),
+            self.analyzers.len(),
             "one feed per stream (streams: {}, feeds: {})",
-            self.streams.len(),
+            self.analyzers.len(),
             feeds.len()
         );
         let reports: Vec<BinReport> = self
-            .streams
+            .analyzers
             .iter_mut()
             .zip(feeds)
-            .map(|(stream, records)| stream.analyzer.process_bin_sequential(bin, records))
+            .map(|(analyzer, records)| analyzer.process_bin_sequential(bin, records))
             .collect();
         self.merge(bin, reports)
     }
 
     /// Fleet-level aggregation: sum per-AS severities across the streams'
     /// reports, score them against the fleet magnitude baseline, and run
-    /// the merged view through the fleet event channel — this is the
-    /// single funnel every fleet execution path (pooled, sequential,
-    /// pipelined) flows through, so the event deltas are deterministic
-    /// by construction.
-    fn merge(&mut self, bin: BinId, reports: Vec<BinReport>) -> FleetReport {
+    /// the merged view through the fleet event channel — the single
+    /// funnel every fleet execution path (session and sequential) flows
+    /// through, so the event deltas are deterministic by construction.
+    pub(crate) fn merge(&mut self, bin: BinId, reports: Vec<BinReport>) -> FleetReport {
         let (dsev, fsev) = merge_severities(reports.iter().map(|r| &r.magnitudes));
         let magnitudes = self.fleet_magnitudes.score_bin(&dsev, &fsev);
         if self.fleet_events.is_none() {
-            if let Some(s) = self.streams.first() {
-                self.fleet_events = Some(EmpathyExtractor::new(s.analyzer.config()));
+            if let Some(a) = self.analyzers.first() {
+                self.fleet_events = Some(EmpathyExtractor::new(a.config()));
             }
         }
         let events = match &mut self.fleet_events {
             Some(extractor) => {
                 let evidence: Vec<StreamEvidence<'_>> = reports
                     .iter()
-                    .zip(&self.streams)
-                    .map(|(r, s)| StreamEvidence {
+                    .zip(&self.analyzers)
+                    .map(|(r, a)| StreamEvidence {
                         delay: &r.delay_alarms,
                         forwarding: &r.forwarding_alarms,
-                        mapper: s.analyzer.mapper(),
+                        mapper: a.mapper(),
                     })
                     .collect();
                 extractor.observe(bin, &evidence, &magnitudes)
@@ -301,26 +229,20 @@ impl StreamRouter {
 
     /// Links with a learned delay reference, summed over the fleet.
     pub fn tracked_links(&self) -> usize {
-        self.streams
-            .iter()
-            .map(|s| s.analyzer.tracked_links())
-            .sum()
+        self.analyzers.iter().map(Analyzer::tracked_links).sum()
     }
 
     /// (router, destination) forwarding models, summed over the fleet.
     pub fn tracked_patterns(&self) -> usize {
-        self.streams
-            .iter()
-            .map(|s| s.analyzer.tracked_patterns())
-            .sum()
+        self.analyzers.iter().map(Analyzer::tracked_patterns).sum()
     }
 
     /// Interning-epoch counters summed over every stream's arenas: in a
     /// steady-state fleet bin, `bin_insertions` is zero across the board.
     pub fn ingest_stats(&self) -> crate::ingest::IngestStats {
-        self.streams
+        self.analyzers
             .iter()
-            .map(|s| s.analyzer.ingest_stats())
+            .map(Analyzer::ingest_stats)
             .fold(crate::ingest::IngestStats::default(), |acc, s| {
                 acc.merged(s)
             })
@@ -330,74 +252,36 @@ impl StreamRouter {
     /// quarantined (by reason), and repaired — the fleet twin of
     /// [`Analyzer::sanitize_stats`].
     pub fn sanitize_stats(&self) -> crate::sanitize::SanitizeStats {
-        self.streams
+        self.analyzers
             .iter()
-            .map(|s| s.analyzer.sanitize_stats())
+            .map(Analyzer::sanitize_stats)
             .fold(crate::sanitize::SanitizeStats::default(), |acc, s| {
                 acc.merged(s)
             })
     }
 
-    /// The cross-bin pipelined executor over the whole fleet — the
-    /// multi-stream twin of [`Analyzer::pipelined`]: at depth 2, every
-    /// stream's shard jobs for the pending bin and every stream's scatter
-    /// chunks for the pushed bin run as ONE two-lane wave on the shared
-    /// herd. Reports come back strictly in bin order, one bin behind.
-    /// `depth` resolves like the analyzer's: `0` falls through to the
-    /// first stream's `DetectorConfig::pipeline_depth` (the streams of a
-    /// fleet share their configuration in practice; an empty fleet takes
-    /// the engine default), whose own `0` means the engine default (2);
-    /// deeper than 2 clamps; and a one-worker herd ([`Self::set_threads`])
-    /// collapses to the serial schedule (see `engine::resolve_schedule`).
-    /// Byte-identical to [`StreamRouter::process_bin`] for every depth.
-    pub fn pipelined(&mut self, depth: usize) -> FleetPipelinedDriver<'_> {
-        let depth = if depth == 0 {
-            self.streams
-                .first()
-                .map_or(0, |s| s.analyzer.config().pipeline_depth)
-        } else {
-            depth
-        };
-        let depth = engine::resolve_schedule(depth, self.threads);
-        FleetPipelinedDriver {
-            router: self,
-            depth,
-            pending: None,
-            last: None,
-        }
-    }
-
-    /// The unified [`crate::session::AnalysisSession`] over the fleet —
-    /// the multi-stream twin of [`Analyzer::session`]. `depth` resolves
-    /// like [`StreamRouter::pipelined`].
+    /// The [`crate::session::AnalysisSession`] over the fleet — the
+    /// multi-stream twin of [`Analyzer::session`], on the same executor.
+    /// `depth` resolves like the analyzer's, through the first stream's
+    /// configuration (an empty fleet takes the engine defaults).
     pub fn session(&mut self, depth: usize) -> crate::session::FleetSession<'_> {
         crate::session::FleetSession::new(self, depth)
-    }
-
-    /// The depth knob a `0` falls through to: the first stream's
-    /// configured `pipeline_depth` (a fleet shares its configuration in
-    /// practice; an empty fleet takes the engine default).
-    pub(crate) fn default_pipeline_depth(&self) -> usize {
-        self.streams
-            .first()
-            .map_or(0, |s| s.analyzer.config().pipeline_depth)
     }
 
     /// Serialize the whole fleet's resumable state — every stream's
     /// label and analyzer body, the fleet magnitude baseline, and the
     /// fleet event channel — under the same determinism rule as
-    /// [`Analyzer::snapshot`]: throughput knobs (including the router's
-    /// own [`StreamRouter::set_threads`]) are normalized out, so the
-    /// bytes are identical across the whole execution matrix.
+    /// [`Analyzer::snapshot`]: throughput knobs are normalized out, so
+    /// the bytes are identical across the whole execution matrix.
     ///
     /// # Panics
-    /// When any stream has an open incremental bin.
+    /// When a session holds a bin open or pending.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = Writer::with_header(snapshot::KIND_FLEET);
-        w.seq(self.streams.len());
-        for stream in &self.streams {
-            w.str(&stream.label);
-            stream.analyzer.snapshot_body(&mut w);
+        w.seq(self.analyzers.len());
+        for (label, analyzer) in self.labels.iter().zip(&self.analyzers) {
+            w.str(label);
+            analyzer.snapshot_body(&mut w);
         }
         self.fleet_magnitudes.snapshot_into(&mut w);
         match &self.fleet_events {
@@ -411,10 +295,8 @@ impl StreamRouter {
     }
 
     /// Rebuild a fleet from [`StreamRouter::snapshot`] bytes. The
-    /// restored router's thread knob is "auto" — re-pin it with
-    /// [`StreamRouter::set_threads`] if desired; the per-stream
-    /// throughput knobs can be re-pinned via the `tune` hook of
-    /// [`StreamRouter::restore_with`].
+    /// per-stream throughput knobs restore as "auto"; re-pin them via the
+    /// `tune` hook of [`StreamRouter::restore_with`].
     pub fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
         Self::restore_with(bytes, |_| {})
     }
@@ -431,11 +313,11 @@ impl StreamRouter {
             return Err(SnapshotError::Corrupt("not a fleet snapshot"));
         }
         let n = r.seq()?;
-        let mut streams = Vec::with_capacity(n);
+        let mut labels = Vec::with_capacity(n);
+        let mut analyzers = Vec::with_capacity(n);
         for _ in 0..n {
-            let label = r.str()?;
-            let analyzer = Analyzer::restore_body(&mut r, &mut tune)?;
-            streams.push(Stream { label, analyzer });
+            labels.push(r.str()?);
+            analyzers.push(Analyzer::restore_body(&mut r, &mut tune)?);
         }
         let fleet_magnitudes = MagnitudeTracker::restore_from(&mut r)?;
         let fleet_events = if r.bool()? {
@@ -447,192 +329,11 @@ impl StreamRouter {
             return Err(SnapshotError::Corrupt("trailing bytes"));
         }
         Ok(StreamRouter {
-            streams,
+            labels,
+            analyzers,
             fleet_magnitudes,
             fleet_events,
-            threads: 0,
         })
-    }
-}
-
-/// One fleet bin in flight: its id and each stream's record count.
-#[derive(Debug)]
-struct FleetPending {
-    bin: BinId,
-    records: Vec<usize>,
-}
-
-/// The fleet's cross-bin pipelined executor (create with
-/// [`StreamRouter::pipelined`]). Same contract as
-/// [`crate::pipeline::PipelinedDriver`] — in-order [`FleetReport`]s, one
-/// bin behind at depth 2, merge and epoch fences serial — lifted to the
-/// whole fleet: the two-lane wave carries `2 × streams` job sets (every
-/// stream's shard bundles, then every stream's scatter chunks), and the
-/// epoch fence drains when ANY stream's arenas need a compaction sweep,
-/// so no stream ever renumbers ids under in-flight rows.
-pub struct FleetPipelinedDriver<'a> {
-    router: &'a mut StreamRouter,
-    depth: usize,
-    pending: Option<FleetPending>,
-    /// Last bin pushed — enforces the increasing-order contract at every
-    /// depth (`pending` alone goes `None` at depth 1 and after a drain).
-    last: Option<BinId>,
-}
-
-impl FleetPipelinedDriver<'_> {
-    /// The resolved pipeline depth (1 or 2).
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// The underlying router — its fleet-summed counters
-    /// ([`StreamRouter::ingest_stats`] / [`StreamRouter::sanitize_stats`])
-    /// stay readable while bins are in flight.
-    pub fn router(&self) -> &StreamRouter {
-        self.router
-    }
-
-    /// Feed the next fleet bin (`feeds[i]` is stream `i`'s records).
-    /// Returns the previous bin's merged report at depth 2 (`None` on
-    /// the first push), or this bin's at depth 1.
-    ///
-    /// # Panics
-    /// When `feeds.len()` differs from the stream count, or bins are not
-    /// fed in strictly increasing order.
-    pub fn push_bin(&mut self, bin: BinId, feeds: &[Vec<TracerouteRecord>]) -> Option<FleetReport> {
-        assert_eq!(
-            feeds.len(),
-            self.router.streams.len(),
-            "one feed per stream (streams: {}, feeds: {})",
-            self.router.streams.len(),
-            feeds.len()
-        );
-        if let Some(last) = self.last {
-            assert!(
-                bin.0 > last.0,
-                "pipelined bins must be fed in increasing order ({bin:?} after {last:?})"
-            );
-        }
-        self.last = Some(bin);
-        if self.depth == 1 {
-            return Some(self.router.process_bin(bin, feeds));
-        }
-        let threads = self.router.effective_threads();
-        let Some(pending) = self.pending.take() else {
-            self.open_bin(bin, feeds, true, threads);
-            return None;
-        };
-        if self
-            .router
-            .streams
-            .iter()
-            .any(|s| s.analyzer.needs_compaction(bin))
-        {
-            // Epoch fence: drain the fleet, sweep every stream, refill.
-            let report = self.drain(pending, threads);
-            for stream in &mut self.router.streams {
-                stream.analyzer.compact_epochs(bin);
-            }
-            self.open_bin(bin, feeds, false, threads);
-            return Some(report);
-        }
-        // Steady state: every stream's pending shard jobs + every
-        // stream's next-bin scatter chunks, one two-lane wave.
-        let staged: Vec<_> = {
-            let mut stages = Vec::with_capacity(self.router.streams.len());
-            let mut wave = engine::Wave::new();
-            for (stream, records) in self.router.streams.iter_mut().zip(feeds) {
-                let (stage, scatter) = stream.analyzer.overlap_wave(pending.bin, records, threads);
-                wave.push_scatter(scatter);
-                stages.push(stage);
-            }
-            for stage in &mut stages {
-                wave.push_analysis(stage.jobs());
-            }
-            wave.run(threads);
-            stages.into_iter().map(|stage| stage.finish()).collect()
-        };
-        let reports: Vec<BinReport> = self
-            .router
-            .streams
-            .iter_mut()
-            .zip(&pending.records)
-            .zip(staged)
-            .map(|((stream, &records), staged)| {
-                stream.analyzer.stamp_bin(pending.bin);
-                stream.analyzer.absorb(pending.bin, records, staged)
-            })
-            .collect();
-        let report = self.router.merge(pending.bin, reports);
-        for stream in &mut self.router.streams {
-            stream.analyzer.merge_scatter(bin);
-        }
-        self.pending = Some(FleetPending {
-            bin,
-            records: feeds.iter().map(Vec::len).collect(),
-        });
-        Some(report)
-    }
-
-    /// Flush the in-flight fleet bin, if any. Idempotent.
-    pub fn finish(&mut self) -> Option<FleetReport> {
-        let pending = self.pending.take()?;
-        let threads = self.router.effective_threads();
-        Some(self.drain(pending, threads))
-    }
-
-    /// Scatter + merge a bin across the fleet without analyzing it yet.
-    fn open_bin(
-        &mut self,
-        bin: BinId,
-        feeds: &[Vec<TracerouteRecord>],
-        compact: bool,
-        threads: usize,
-    ) {
-        {
-            let mut wave = engine::Wave::new();
-            for (stream, records) in self.router.streams.iter_mut().zip(feeds) {
-                wave.push_scatter(stream.analyzer.open_scatter(bin, records, compact, threads));
-            }
-            wave.run(threads);
-        }
-        for stream in &mut self.router.streams {
-            stream.analyzer.merge_scatter(bin);
-        }
-        self.pending = Some(FleetPending {
-            bin,
-            records: feeds.iter().map(Vec::len).collect(),
-        });
-    }
-
-    /// Shards-only wave for the pending fleet bin + the post-wave fences.
-    fn drain(&mut self, pending: FleetPending, threads: usize) -> FleetReport {
-        let staged: Vec<_> = {
-            let mut stages: Vec<_> = self
-                .router
-                .streams
-                .iter_mut()
-                .map(|stream| stream.analyzer.stage(pending.bin, threads))
-                .collect();
-            let mut jobs = Vec::new();
-            for stage in &mut stages {
-                jobs.extend(stage.jobs());
-            }
-            engine::run_jobs(jobs, threads);
-            stages.into_iter().map(|stage| stage.finish()).collect()
-        };
-        let reports: Vec<BinReport> = self
-            .router
-            .streams
-            .iter_mut()
-            .zip(&pending.records)
-            .zip(staged)
-            .map(|((stream, &records), staged)| {
-                stream.analyzer.stamp_bin(pending.bin);
-                stream.analyzer.absorb(pending.bin, records, staged)
-            })
-            .collect();
-        self.router.merge(pending.bin, reports)
     }
 }
 

@@ -59,8 +59,8 @@ pub struct MultiStreamCase {
 
 impl MultiStreamCase {
     /// A fresh fleet router for this case: one analyzer per stream, the
-    /// world's named ASes pre-registered everywhere, threads taken from
-    /// the configuration.
+    /// world's named ASes pre-registered everywhere. Threads and pipeline
+    /// depth come from the shared configuration.
     pub fn router(&self) -> StreamRouter {
         let mut router = StreamRouter::with_magnitude_window(self.cfg.magnitude_window_bins);
         for spec in &self.streams {
@@ -69,7 +69,6 @@ impl MultiStreamCase {
                 Analyzer::new(self.cfg.clone(), self.mapper.clone()),
             );
         }
-        router.set_threads(self.cfg.threads);
         router.register_ases([
             self.landmarks.kroot_asn,
             self.landmarks.amsix_asn,

@@ -132,9 +132,9 @@ pub fn run(
 /// Run the full pipeline over the case study's window in streaming mode:
 /// each bin's records arrive as arrival-ordered chunks of `chunk_records`
 /// ([`Platform::collect_bin_chunked`]) and are fed incrementally through
-/// `Analyzer::begin_bin` / `ingest` / `finish_bin` — the §8 deployment
-/// shape, where results trickle in from the Atlas stream instead of
-/// materializing per bin. The chunk-order determinism of the ingestion
+/// a depth-1 session's `begin_bin` / `ingest` / `finish_bin`, each slice
+/// scattered as it arrives — the §8 deployment shape, where results
+/// trickle in from the Atlas stream instead of materializing per bin. The chunk-order determinism of the ingestion
 /// front-end makes the reports (and so the summary) byte-identical to
 /// [`run`] for any chunk size.
 pub fn run_streamed(

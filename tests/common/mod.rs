@@ -141,3 +141,25 @@ pub fn assert_reports_identical(a: &BinReport, b: &BinReport, ctx: &str) {
     assert_eq!(a.magnitudes, b.magnitudes, "{ctx}: magnitudes");
     assert_eq!(a.events, b.events, "{ctx}: event deltas");
 }
+
+/// The incremental slices bin number `i` is fed in by the sliced parity
+/// drivers, as `(lo, hi, parts)` fractions of its records: no slice at
+/// all for a bin without records (`begin_bin` + `finish_bin` only), else
+/// by rotation an empty first slice followed by the whole bin, three
+/// slices, or one slice. Every schedule must report the bytes of feeding
+/// the whole bin at once.
+#[allow(dead_code)]
+pub fn slicing(i: u64, empty: bool) -> &'static [(usize, usize, usize)] {
+    match (empty, i % 3) {
+        (true, _) => &[],
+        (false, 0) => &[(0, 0, 1), (0, 1, 1)],
+        (false, 1) => &[(0, 1, 3), (1, 2, 3), (2, 3, 3)],
+        _ => &[(0, 1, 1)],
+    }
+}
+
+/// One slice of `items` under a [`slicing`] fraction.
+#[allow(dead_code)]
+pub fn slice<T>(items: &[T], (lo, hi, parts): (usize, usize, usize)) -> &[T] {
+    &items[items.len() * lo / parts..items.len() * hi / parts]
+}

@@ -12,7 +12,7 @@ mod common;
 
 use common::{assert_reports_identical, parity_config};
 use pinpoint::core::aggregate::AsMapper;
-use pinpoint::core::{Analyzer, DetectorConfig};
+use pinpoint::core::{AnalysisSession, Analyzer, DetectorConfig};
 use pinpoint::model::records::{Hop, Reply, TracerouteRecord};
 use pinpoint::model::{Asn, BinId, MeasurementId, ProbeId, SimTime};
 use pinpoint::scenarios::{steady, Scale};
@@ -123,8 +123,10 @@ proptest! {
     }
 
     /// Incremental ingestion — the bin fed as arbitrary successive slices
-    /// through `begin_bin` / `ingest` / `finish_bin` — produces the exact
-    /// report of a batch `process_bin` over the concatenation.
+    /// through a session's `begin_bin` / `ingest` / `finish_bin`, at depth
+    /// 1 and at depth 2 — produces the exact report of a batch
+    /// `process_bin` over the concatenation. Bin 2 opens with an empty
+    /// slice and bin 3 has no `ingest` call at all.
     #[test]
     fn prop_incremental_ingest_matches_batch(
         cut_a in 0u32..12,
@@ -145,15 +147,37 @@ proptest! {
         ];
         cuts.sort_unstable();
         let mut batch = chunked_analyzer(2);
-        let mut streamed = chunked_analyzer(2);
-        for bin in 0..2u64 {
-            let want = batch.process_bin(BinId(bin), &records);
-            streamed.begin_bin(BinId(bin));
-            streamed.ingest(&records[..cuts[0]]);
-            streamed.ingest(&records[cuts[0]..cuts[1]]);
-            streamed.ingest(&records[cuts[1]..]);
-            let got = streamed.finish_bin();
-            assert_reports_identical(&got, &want, &format!("bin {bin} cuts {cuts:?}"));
+        let bins: Vec<&[TracerouteRecord]> = vec![&records, &records, &records, &[]];
+        let want: Vec<_> = bins
+            .iter()
+            .enumerate()
+            .map(|(bin, records)| batch.process_bin(BinId(bin as u64), records))
+            .collect();
+        for depth in [1usize, 2] {
+            let mut streamed = chunked_analyzer(2);
+            let mut session = streamed.session(depth);
+            let mut got = Vec::new();
+            for (bin, records) in bins.iter().enumerate() {
+                session.begin_bin(BinId(bin as u64));
+                if bin == 2 {
+                    session.ingest(&[]);
+                }
+                if !records.is_empty() {
+                    session.ingest(&records[..cuts[0]]);
+                    session.ingest(&records[cuts[0]..cuts[1]]);
+                    session.ingest(&records[cuts[1]..]);
+                }
+                got.extend(session.finish_bin());
+            }
+            got.extend(session.flush());
+            prop_assert_eq!(got.len(), want.len());
+            for (got, want) in got.iter().zip(&want) {
+                assert_reports_identical(
+                    got,
+                    want,
+                    &format!("depth {depth} bin {:?} cuts {cuts:?}", want.bin),
+                );
+            }
         }
     }
 }

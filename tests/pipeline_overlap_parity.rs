@@ -3,9 +3,12 @@
 //! scatter chunks on one worker herd — must be *byte-for-byte* equivalent
 //! to the serial schedule for any thread count, any scatter chunk size,
 //! and any depth, for a solo [`Analyzer`] and for a multi-stream
-//! [`StreamRouter`] fleet alike. The sweeps here cover alarm-firing event
-//! bins (the AMS-IX outage; a delay surge; a route flip), empty bins, and
-//! an epoch-compaction bin mid-stream (the drain fence).
+//! [`StreamRouter`] fleet alike, whether bins arrive whole or as
+//! incremental slices (`common::slicing`: an empty first slice, several
+//! slices, or a bin with no `ingest` call at all). The sweeps here cover
+//! alarm-firing event bins (the AMS-IX outage; a delay surge; a route
+//! flip), empty bins, and an epoch-compaction bin mid-stream (the drain
+//! fence).
 //!
 //! Like the other parity suites, the CI matrix re-runs this file under
 //! `PINPOINT_THREADS` × `PINPOINT_CHUNK` × `PINPOINT_PIPELINE`; the tests
@@ -15,9 +18,11 @@
 
 mod common;
 
-use common::{assert_reports_identical, parity_config};
+use common::{assert_reports_identical, parity_config, slice, slicing};
 use pinpoint::core::aggregate::AsMapper;
-use pinpoint::core::{Analyzer, BinReport, DetectorConfig, FleetReport, StreamRouter};
+use pinpoint::core::{
+    AnalysisSession, Analyzer, BinReport, DetectorConfig, FleetReport, StreamRouter,
+};
 use pinpoint::model::records::{Hop, Reply, TracerouteRecord};
 use pinpoint::model::{Asn, BinId, MeasurementId, ProbeId, SimTime};
 use pinpoint::scenarios::{ixp, Scale};
@@ -30,19 +35,29 @@ fn mapper() -> AsMapper {
     ])
 }
 
-/// Drive a bin stream through the pipelined executor and collect the
+/// Drive a bin stream through a session at `depth` — whole bins, or
+/// (`sliced`) incremental slices per [`slicing`] — and collect the
 /// in-order reports.
 fn drive(
     analyzer: &mut Analyzer,
     depth: usize,
     bins: &[(BinId, Vec<TracerouteRecord>)],
+    sliced: bool,
 ) -> Vec<BinReport> {
     let mut out = Vec::new();
-    let mut driver = analyzer.pipelined(depth);
-    for (bin, records) in bins {
-        out.extend(driver.push_bin(*bin, records));
+    let mut session = analyzer.session(depth);
+    for (i, (bin, records)) in bins.iter().enumerate() {
+        if sliced {
+            session.begin_bin(*bin);
+            for &part in slicing(i as u64, records.is_empty()) {
+                session.ingest(slice(records, part));
+            }
+            out.extend(session.finish_bin());
+        } else {
+            out.extend(session.push_bin(*bin, records));
+        }
     }
-    out.extend(driver.finish());
+    out.extend(session.flush());
     out
 }
 
@@ -166,11 +181,12 @@ fn pipelined_analyzer_matches_serial_through_ixp_outage() {
     );
 
     // Depth 0 resolves through the env-selected cfg.pipeline_depth, so
-    // the CI PINPOINT_PIPELINE axis lands exactly here.
-    for depth in [0usize, 1, 2] {
+    // the CI PINPOINT_PIPELINE axis lands exactly here. The depth-2 run
+    // also takes the bins as incremental slices.
+    for (depth, sliced) in [(0usize, false), (1, false), (2, false), (2, true)] {
         let mut pipelined = Analyzer::new(parity_config(), case.mapper.clone());
-        let got = drive(&mut pipelined, depth, &bins);
-        assert_streams_identical(&got, &want, &format!("ixp depth {depth}"));
+        let got = drive(&mut pipelined, depth, &bins, sliced);
+        assert_streams_identical(&got, &want, &format!("ixp depth {depth} sliced {sliced}"));
         assert_eq!(
             pipelined.tracked_links(),
             sequential.tracked_links(),
@@ -226,10 +242,10 @@ fn pipelined_compaction_fence_mid_stream_parity() {
         "the surge fired no delay alarm through the fence schedule"
     );
 
-    for depth in [1usize, 2] {
+    for (depth, sliced) in [(1usize, false), (2, false), (1, true), (2, true)] {
         let mut pipelined = Analyzer::new(cfg.clone(), mapper());
-        let got = drive(&mut pipelined, depth, &bins);
-        assert_streams_identical(&got, &want, &format!("churn depth {depth}"));
+        let got = drive(&mut pipelined, depth, &bins, sliced);
+        assert_streams_identical(&got, &want, &format!("churn depth {depth} sliced {sliced}"));
         let stats = pipelined.ingest_stats();
         assert!(
             stats.evictions > 0,
@@ -252,7 +268,7 @@ fn pipelined_compaction_fence_mid_stream_parity() {
         serial_engine.process_bin(*bin, records);
     }
     let mut overlapped = Analyzer::new(cfg, mapper());
-    drive(&mut overlapped, 2, &bins);
+    drive(&mut overlapped, 2, &bins, false);
     assert_eq!(
         overlapped.ingest_stats(),
         serial_engine.ingest_stats(),
@@ -292,25 +308,33 @@ fn fleet(cfg: &DetectorConfig) -> StreamRouter {
     for label in ["delay-stream", "forwarding-stream", "churn-stream"] {
         router.add_stream(label, Analyzer::new(cfg.clone(), mapper()));
     }
-    router.set_threads(cfg.threads);
     router.register_ases([Asn(64500)]);
     router
 }
 
-/// Fleet parity across depths: a 3-stream [`StreamRouter`] driven through
-/// the fleet pipelined executor — two-lane waves carrying every stream's
-/// shard jobs AND every stream's next-bin scatter chunks — must match the
-/// sequential fleet path byte for byte through an alarm-firing event bin,
-/// an empty bin, and a churn stream whose compaction forces the fleet
-/// drain fence.
+/// Fleet parity across depths: a 3-stream [`StreamRouter`] session —
+/// two-lane waves carrying every stream's shard jobs AND every stream's
+/// next-bin scatter chunks — must match the sequential fleet path byte
+/// for byte through an alarm-firing event bin, an empty stream feed, a
+/// bin where every feed is empty, and a churn stream whose compaction
+/// forces the fleet drain fence, with whole bins and with incremental
+/// slices at both depths.
 #[test]
 fn pipelined_fleet_matches_serial() {
     let mut cfg = parity_config();
     cfg.reference_expiry_bins = 3;
     let mut sequential_cfg = DetectorConfig::fast_test();
     sequential_cfg.reference_expiry_bins = 3;
-    let bins: Vec<(BinId, Vec<Vec<TracerouteRecord>>)> =
-        (0..12u64).map(|b| (BinId(b), fleet_feeds(b))).collect();
+    let bins: Vec<(BinId, Vec<Vec<TracerouteRecord>>)> = (0..12u64)
+        .map(|b| {
+            let feeds = if b == 7 {
+                vec![Vec::new(); 3]
+            } else {
+                fleet_feeds(b)
+            };
+            (BinId(b), feeds)
+        })
+        .collect();
 
     let mut sequential = fleet(&sequential_cfg);
     let want: Vec<FleetReport> = bins
@@ -329,19 +353,36 @@ fn pipelined_fleet_matches_serial() {
     // Depth 0 resolves through the streams' env-selected
     // cfg.pipeline_depth (parity_config set it from PINPOINT_PIPELINE),
     // so the CI axis reaches the fleet path through the documented knob.
-    for depth in [0usize, 1, 2] {
+    for (depth, sliced) in [
+        (0usize, false),
+        (1, false),
+        (2, false),
+        (1, true),
+        (2, true),
+    ] {
         let mut router = fleet(&cfg);
         let mut got = Vec::new();
         {
-            let mut driver = router.pipelined(depth);
-            for (bin, feeds) in &bins {
-                got.extend(driver.push_bin(*bin, feeds));
+            let mut session = router.session(depth);
+            for (i, (bin, feeds)) in bins.iter().enumerate() {
+                if !sliced {
+                    got.extend(session.push_bin(*bin, feeds));
+                    continue;
+                }
+                session.begin_bin(*bin);
+                for &part in slicing(i as u64, feeds.iter().all(Vec::is_empty)) {
+                    let slices: Vec<Vec<TracerouteRecord>> =
+                        feeds.iter().map(|f| slice(f, part).to_vec()).collect();
+                    session.ingest(&slices);
+                }
+                got.extend(session.finish_bin());
             }
-            got.extend(driver.finish());
+            got.extend(session.flush());
         }
-        assert_eq!(got.len(), want.len(), "depth {depth}: report count");
+        let ctx = format!("fleet depth {depth} sliced {sliced}");
+        assert_eq!(got.len(), want.len(), "{ctx}: report count");
         for (a, b) in got.iter().zip(&want) {
-            assert_fleets_identical(a, b, &format!("fleet depth {depth} bin {:?}", a.bin));
+            assert_fleets_identical(a, b, &format!("{ctx} bin {:?}", a.bin));
         }
         assert_eq!(router.tracked_links(), sequential.tracked_links());
         assert_eq!(router.tracked_patterns(), sequential.tracked_patterns());
@@ -371,17 +412,17 @@ fn pipelined_parity_across_local_thread_and_chunk_sweep() {
 
     for threads in [1usize, 3, 5] {
         for chunk in [0usize, 3] {
-            for depth in [1usize, 2] {
+            for (depth, sliced) in [(1usize, false), (2, false), (2, true)] {
                 let mut cfg = DetectorConfig::fast_test();
                 cfg.reference_expiry_bins = 2;
                 cfg.threads = threads;
                 cfg.ingest_chunk_records = chunk;
                 let mut pipelined = Analyzer::new(cfg, mapper());
-                let got = drive(&mut pipelined, depth, &bins);
+                let got = drive(&mut pipelined, depth, &bins, sliced);
                 assert_streams_identical(
                     &got,
                     &want,
-                    &format!("threads {threads} chunk {chunk} depth {depth}"),
+                    &format!("threads {threads} chunk {chunk} depth {depth} sliced {sliced}"),
                 );
             }
         }
@@ -395,21 +436,21 @@ fn pipelined_parity_across_local_thread_and_chunk_sweep() {
 #[should_panic(expected = "increasing order")]
 fn regressed_bin_clock_panics_even_at_depth_1() {
     let mut analyzer = Analyzer::new(DetectorConfig::fast_test(), mapper());
-    let mut driver = analyzer.pipelined(1);
-    driver.push_bin(BinId(5), &delay_records(5, false));
-    driver.push_bin(BinId(3), &delay_records(3, false));
+    let mut session = analyzer.session(1);
+    session.push_bin(BinId(5), &delay_records(5, false));
+    session.push_bin(BinId(3), &delay_records(3, false));
 }
 
-/// Same contract across a `finish()` flush at depth 2 (`pending` is
-/// empty again, but the clock must not rewind).
+/// Same contract across a `flush()` at depth 2 (nothing is pending
+/// again, but the clock must not rewind).
 #[test]
 #[should_panic(expected = "increasing order")]
 fn regressed_bin_clock_panics_after_finish() {
     let mut analyzer = Analyzer::new(DetectorConfig::fast_test(), mapper());
-    let mut driver = analyzer.pipelined(2);
-    driver.push_bin(BinId(5), &delay_records(5, false));
-    driver.finish();
-    driver.push_bin(BinId(4), &delay_records(4, false));
+    let mut session = analyzer.session(2);
+    session.push_bin(BinId(5), &delay_records(5, false));
+    session.flush();
+    session.push_bin(BinId(4), &delay_records(4, false));
 }
 
 /// The depth knob's contract: unsupported depths must fail loudly in the

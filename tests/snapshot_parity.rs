@@ -279,7 +279,6 @@ fn fleet_snapshot_resumes_byte_identical() {
         let mut router = StreamRouter::with_magnitude_window(cfg.magnitude_window_bins);
         router.add_stream("alpha", Analyzer::new(cfg.clone(), mapper()));
         router.add_stream("beta", Analyzer::new(cfg.clone(), mapper()));
-        router.set_threads(cfg.threads);
         router.register_ases([Asn(64500)]);
         router
     };

@@ -114,12 +114,17 @@ fn fleet_feeds(bin: u64, event: bool) -> Vec<Vec<TracerouteRecord>> {
     ]
 }
 
+/// A three-stream fleet whose members run `threads` workers (the fleet
+/// executor reads the thread count from its members' configuration).
 fn fleet(cfg: &DetectorConfig, threads: usize) -> StreamRouter {
+    let cfg = DetectorConfig {
+        threads,
+        ..cfg.clone()
+    };
     let mut router = StreamRouter::with_magnitude_window(cfg.magnitude_window_bins);
     for label in ["delay-stream", "forwarding-stream", "mixed-stream"] {
         router.add_stream(label, Analyzer::new(cfg.clone(), mapper()));
     }
-    router.set_threads(threads);
     router.register_ases([Asn(64500), Asn(64501)]);
     router
 }
