@@ -178,6 +178,9 @@ proptest! {
                     &format!("depth {depth} bin {:?} cuts {cuts:?}", want.bin),
                 );
             }
+            // Few generated bins characterize a link, so also demand that
+            // every slice reached the intern tables.
+            prop_assert_eq!(streamed.ingest_stats(), batch.ingest_stats(), "depth {}", depth);
         }
     }
 }
