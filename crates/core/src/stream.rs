@@ -35,7 +35,7 @@
 //! [`MagnitudeTracker`]. Cross-stream correlation is the point: an event
 //! partially visible from several vantages can cross the reporting
 //! threshold in the merged view while every individual stream stays below
-//! it. [`StreamRouter::merge`] is the one funnel every fleet path flows
+//! it. `StreamRouter::merge` is the one funnel every fleet path flows
 //! through.
 
 use crate::aggregate::{
