@@ -135,9 +135,9 @@ fn bench_pipeline(c: &mut Criterion) {
 }
 
 /// Engine-level throughput on a synthetic Atlas-scale bin (hundreds of
-/// links, every one passing the diversity filter). The parallel/sequential
-/// pair here is the headline number `pipeline_bench` records in
-/// `BENCH_pipeline.json`.
+/// links, every one passing the diversity filter), parallel against
+/// sequential. A local profiling aid: the repository's benchmark, with
+/// end-to-end and per-layer metrics, is `e2ebench` (`BENCHMARK.json`).
 fn bench_engine(c: &mut Criterion) {
     let spec = WorkloadSpec::large();
     let records = synthetic_bin(&spec, 2015, 0);

@@ -1,6 +1,6 @@
 //! Fleet-wide event extraction via traceroute empathy.
 //!
-//! Per-AS magnitude runs ([`super::events`]) answer "which AS peaked";
+//! Per-AS magnitude peaks ([`super::events`]) answer "which AS peaked";
 //! operators need "what broke, where, affecting whom". Following the
 //! traceroute-empathy idea (alarms sharing path segments and time
 //! windows are *empathic* and belong to one incident), this module
@@ -10,16 +10,17 @@
 //! [`empathy_min_shared`](crate::DetectorConfig::empathy_min_shared)
 //! elements (an interface or an AS of the path segment) — blames the
 //! most-shared element, and tracks event lifecycle Open→Updated→Closed
-//! across bins with the same gap bridge as the post-hoc extractor.
+//! across bins, bridging up to
+//! [`event_gap_bins`](crate::DetectorConfig::event_gap_bins) quiet bins.
 //!
 //! Three evidence sources feed a cluster:
 //!
 //! 1. delay-alarm edges (both endpoints + their ASes),
 //! 2. forwarding alarms (router + responsive next hops + their ASes),
 //! 3. magnitude runs — ASes whose merged magnitude crosses
-//!    [`event_threshold`](crate::DetectorConfig::event_threshold), the
-//!    [`EventExtractor`](super::EventExtractor) criterion acting as one
-//!    evidence source beside the graph components.
+//!    [`event_threshold`](crate::DetectorConfig::event_threshold) (§6's
+//!    per-AS peak criterion), one evidence source beside the graph
+//!    components.
 //!
 //! A cluster becomes (or extends) an event only when at least one of
 //! its ASes crosses the threshold, and events are ranked by merged
@@ -733,7 +734,7 @@ fn collect_items(
             });
         }
     }
-    // Magnitude-run seeds: the EventExtractor criterion as an evidence
+    // Magnitude-run seeds: §6's per-AS peak criterion as an evidence
     // source — an AS over threshold anchors a cluster even with no
     // surviving alarm this bin (e.g. a pure severity echo).
     for (asn, m) in magnitudes {
@@ -1163,8 +1164,8 @@ mod tests {
 
     #[test]
     fn magnitude_run_alone_seeds_an_event() {
-        // The refactored EventExtractor criterion as an evidence source:
-        // an AS over threshold with no alarm still opens an event.
+        // §6's per-AS peak criterion as an evidence source: an AS over
+        // threshold with no alarm still opens an event.
         let mut ex = EmpathyExtractor::new(&cfg());
         let mags = BTreeMap::from([(Asn(100), mag(0.0, -11.0))]);
         let deltas = ex.observe(BinId(0), &[], &mags);

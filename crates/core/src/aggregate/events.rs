@@ -1,30 +1,25 @@
-//! Event extraction: from magnitude time series to ranked incidents.
+//! The event criterion: which magnitudes make an incident, how quiet
+//! bins bridge, and what kind of incident it is.
 //!
 //! §6 closes with "Finding major network disruptions in an AS is done by
-//! identifying peaks in either of the two time series". This module turns
-//! per-bin magnitudes into consolidated [`Event`]s: consecutive bins where
-//! an AS's |magnitude| exceeds a threshold merge into one incident,
-//! labelled with its kind (delay vs forwarding, by which series peaked
-//! harder) and ranked by peak magnitude — the triage list an operator
-//! reads (§8).
+//! identifying peaks in either of the two time series". The empathy
+//! extractor ([`super::empathy`]) applies these rules while it clusters
+//! each bin's alarms into fleet events; the render layer names the
+//! [`EventKind`].
 
 use super::magnitude::AsMagnitude;
-use crate::config::DetectorConfig;
-use pinpoint_model::{Asn, BinId};
-use std::collections::BTreeMap;
-use std::fmt;
+use pinpoint_model::BinId;
 
-/// The reporting criterion shared by post-hoc extraction and the
-/// incremental empathy extractor: either magnitude series peaking past
-/// the configured threshold (§6: "identifying peaks in either of the two
+/// The reporting criterion: either magnitude series peaking past the
+/// configured threshold (§6: "identifying peaks in either of the two
 /// time series").
 pub(crate) fn over_threshold(m: &AsMagnitude, threshold: f64) -> bool {
     m.delay_magnitude.abs() > threshold || m.forwarding_magnitude.abs() > threshold
 }
 
-/// The gap bridge shared by both extractors: evidence at `bin` extends
-/// an event whose last evidence was at `prev_end`, bridging up to
-/// `gap_bins` quiet bins in between.
+/// The gap bridge: evidence at `bin` extends an event whose last
+/// evidence was at `prev_end`, bridging up to `gap_bins` quiet bins in
+/// between.
 pub(crate) fn bridges_gap(prev_end: BinId, bin: BinId, gap_bins: u64) -> bool {
     bin.0 <= prev_end.0 + gap_bins + 1
 }
@@ -53,152 +48,9 @@ pub enum EventKind {
     ForwardingGain,
 }
 
-/// A consolidated incident for one AS.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Event {
-    /// The AS concerned.
-    pub asn: Asn,
-    /// First bin over threshold.
-    pub start: BinId,
-    /// Last bin over threshold (inclusive).
-    pub end: BinId,
-    /// Peak |delay magnitude| within the window (signed value kept).
-    pub peak_delay: f64,
-    /// Extreme forwarding magnitude within the window (signed).
-    pub peak_forwarding: f64,
-    /// Dominant signal.
-    pub kind: EventKind,
-}
-
-impl Event {
-    /// Duration in bins.
-    pub fn duration(&self) -> u64 {
-        self.end.0 - self.start.0 + 1
-    }
-
-    /// Ranking score: the dominant peak's absolute magnitude.
-    pub fn score(&self) -> f64 {
-        self.peak_delay.abs().max(self.peak_forwarding.abs())
-    }
-}
-
-impl fmt::Display for Event {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let kind = match self.kind {
-            EventKind::DelayChange => "delay change",
-            EventKind::ForwardingLoss => "packet loss / vanished hops",
-            EventKind::ForwardingGain => "traffic attraction",
-        };
-        write!(
-            f,
-            "{} {}..{} ({} h): {kind}, delay mag {:+.1}, forwarding mag {:+.1}",
-            self.asn,
-            self.start,
-            self.end,
-            self.duration(),
-            self.peak_delay,
-            self.peak_forwarding
-        )
-    }
-}
-
-/// Accumulates magnitude series and extracts events.
-#[derive(Debug, Default)]
-pub struct EventExtractor {
-    history: BTreeMap<Asn, Vec<(BinId, AsMagnitude)>>,
-}
-
-impl EventExtractor {
-    /// Empty extractor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one bin's magnitudes (call once per processed bin).
-    pub fn push(&mut self, bin: BinId, magnitudes: &BTreeMap<Asn, AsMagnitude>) {
-        for (asn, m) in magnitudes {
-            self.history.entry(*asn).or_default().push((bin, *m));
-        }
-    }
-
-    /// Extract events with the configured
-    /// [`event_threshold`](DetectorConfig::event_threshold) and
-    /// [`event_gap_bins`](DetectorConfig::event_gap_bins): maximal runs
-    /// of bins where |delay mag| or |forwarding mag| exceeds the
-    /// threshold, ranked by peak score.
-    pub fn events(&self, cfg: &DetectorConfig) -> Vec<Event> {
-        self.events_with(cfg.event_threshold, cfg.event_gap_bins)
-    }
-
-    /// [`EventExtractor::events`] with explicit knobs (the historical
-    /// signature, kept for sweeps that vary the threshold without
-    /// cloning a config).
-    pub fn events_with(&self, threshold: f64, gap_bins: u64) -> Vec<Event> {
-        let mut out = Vec::new();
-        for (asn, series) in &self.history {
-            let mut current: Option<Event> = None;
-            for (bin, m) in series {
-                let over = over_threshold(m, threshold);
-                // Short gaps are bridged (events often dip between
-                // attack hours; Fig. 6's two-peak structure is two
-                // events because the gap is hours long).
-                let contiguous = current
-                    .as_ref()
-                    .map(|e| bridges_gap(e.end, *bin, gap_bins))
-                    .unwrap_or(false);
-                match (over, &mut current) {
-                    (true, Some(e)) if contiguous => {
-                        e.end = *bin;
-                        if m.delay_magnitude.abs() > e.peak_delay.abs() {
-                            e.peak_delay = m.delay_magnitude;
-                        }
-                        if m.forwarding_magnitude.abs() > e.peak_forwarding.abs() {
-                            e.peak_forwarding = m.forwarding_magnitude;
-                        }
-                    }
-                    (true, cur) => {
-                        if let Some(done) = cur.take() {
-                            out.push(done);
-                        }
-                        *cur = Some(Event {
-                            asn: *asn,
-                            start: *bin,
-                            end: *bin,
-                            peak_delay: m.delay_magnitude,
-                            peak_forwarding: m.forwarding_magnitude,
-                            kind: EventKind::DelayChange, // fixed up below
-                        });
-                    }
-                    (false, _) => {}
-                }
-            }
-            if let Some(e) = current {
-                out.push(e);
-            }
-        }
-        for e in &mut out {
-            e.kind = classify(e.peak_delay, e.peak_forwarding);
-        }
-        out.sort_by(|a, b| {
-            b.score()
-                .partial_cmp(&a.score())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| (a.asn, a.start).cmp(&(b.asn, b.start)))
-        });
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cfg(threshold: f64) -> DetectorConfig {
-        DetectorConfig {
-            event_threshold: threshold,
-            ..Default::default()
-        }
-    }
 
     fn mag(d: f64, f: f64) -> AsMagnitude {
         AsMagnitude {
@@ -209,118 +61,36 @@ mod tests {
         }
     }
 
-    fn push_series(ex: &mut EventExtractor, asn: Asn, series: &[(u64, f64, f64)]) {
-        for &(bin, d, f) in series {
-            let mut m = BTreeMap::new();
-            m.insert(asn, mag(d, f));
-            ex.push(BinId(bin), &m);
-        }
+    #[test]
+    fn either_series_past_the_threshold_counts() {
+        assert!(!over_threshold(&mag(0.3, -0.2), 3.0), "quiet AS");
+        assert!(over_threshold(&mag(40.0, -0.5), 3.0), "delay peak");
+        assert!(over_threshold(&mag(0.2, -11.0), 3.0), "forwarding peak");
+        assert!(over_threshold(&mag(-5.0, 0.0), 3.0), "negative delay peak");
+        // Strictly past: a magnitude at the threshold is not a peak.
+        assert!(!over_threshold(&mag(3.0, -3.0), 3.0));
     }
 
     #[test]
-    fn quiet_series_has_no_events() {
-        let mut ex = EventExtractor::new();
-        push_series(
-            &mut ex,
-            Asn(1),
-            &(0..48).map(|b| (b, 0.3, -0.2)).collect::<Vec<_>>(),
-        );
-        assert!(ex.events(&cfg(3.0)).is_empty());
+    fn gap_bridge_spans_exactly_gap_bins_quiet_bins() {
+        // The next bin always extends.
+        assert!(bridges_gap(BinId(10), BinId(11), 0));
+        assert!(!bridges_gap(BinId(10), BinId(12), 0));
+        // The default gap of one bridges one quiet bin, not two.
+        assert!(bridges_gap(BinId(10), BinId(12), 1));
+        assert!(!bridges_gap(BinId(10), BinId(13), 1));
+        // Fig. 6's two attacks, ~20 quiet hours apart, stay two events.
+        assert!(!bridges_gap(BinId(12), BinId(34), 1));
+        assert!(bridges_gap(BinId(10), BinId(13), 2));
     }
 
     #[test]
-    fn contiguous_peak_becomes_one_event() {
-        let mut ex = EventExtractor::new();
-        let mut series: Vec<(u64, f64, f64)> = (0..10).map(|b| (b, 0.0, 0.0)).collect();
-        series.extend([(10, 40.0, -0.5), (11, 90.0, -1.0), (12, 25.0, -0.2)]);
-        series.extend((13..20).map(|b| (b, 0.0, 0.0)));
-        push_series(&mut ex, Asn(25152), &series);
-        let events = ex.events(&cfg(3.0));
-        assert_eq!(events.len(), 1);
-        let e = &events[0];
-        assert_eq!((e.start, e.end), (BinId(10), BinId(12)));
-        assert_eq!(e.duration(), 3);
-        assert_eq!(e.peak_delay, 90.0);
-        assert_eq!(e.kind, EventKind::DelayChange);
-    }
-
-    #[test]
-    fn separate_attacks_become_separate_events() {
-        // Fig. 6 structure: two peaks separated by ~20 quiet hours.
-        let mut ex = EventExtractor::new();
-        let mut series: Vec<(u64, f64, f64)> = Vec::new();
-        for b in 0..50 {
-            let d = if (10..=12).contains(&b) {
-                100.0
-            } else if b == 34 {
-                80.0
-            } else {
-                0.1
-            };
-            series.push((b, d, 0.0));
-        }
-        push_series(&mut ex, Asn(25152), &series);
-        let events = ex.events(&cfg(5.0));
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].peak_delay, 100.0); // ranked by score
-        assert_eq!(events[1].peak_delay, 80.0);
-    }
-
-    #[test]
-    fn forwarding_loss_kind_detected() {
-        let mut ex = EventExtractor::new();
-        push_series(
-            &mut ex,
-            Asn(1200),
-            &[(0, 0.0, 0.0), (1, 0.2, -11.0), (2, 0.1, -0.4)],
-        );
-        let events = ex.events(&cfg(3.0));
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, EventKind::ForwardingLoss);
-        assert!(events[0].to_string().contains("packet loss"));
-    }
-
-    #[test]
-    fn one_bin_gap_is_bridged() {
-        let mut ex = EventExtractor::new();
-        push_series(
-            &mut ex,
-            Asn(7),
-            &[(0, 10.0, 0.0), (1, 0.1, 0.0), (2, 12.0, 0.0)],
-        );
-        let events = ex.events(&cfg(3.0));
-        assert_eq!(events.len(), 1, "gap not bridged: {events:?}");
-        assert_eq!(events[0].end, BinId(2));
-    }
-
-    #[test]
-    fn gap_knob_controls_bridging() {
-        // Two quiet bins split the run under the default gap of 1 but
-        // merge under a gap of 2 — the promoted knob is live.
-        let mut ex = EventExtractor::new();
-        push_series(
-            &mut ex,
-            Asn(7),
-            &[(0, 10.0, 0.0), (1, 0.1, 0.0), (2, 0.1, 0.0), (3, 12.0, 0.0)],
-        );
-        assert_eq!(ex.events_with(3.0, 1).len(), 2);
-        assert_eq!(ex.events_with(3.0, 2).len(), 1);
-        let wide = DetectorConfig {
-            event_threshold: 3.0,
-            event_gap_bins: 2,
-            ..Default::default()
-        };
-        assert_eq!(ex.events(&wide), ex.events_with(3.0, 2));
-    }
-
-    #[test]
-    fn multiple_ases_ranked_together() {
-        let mut ex = EventExtractor::new();
-        push_series(&mut ex, Asn(1), &[(0, 5.0, 0.0)]);
-        push_series(&mut ex, Asn(2), &[(0, 0.0, -50.0)]);
-        let events = ex.events(&cfg(3.0));
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].asn, Asn(2));
-        assert!(events[0].score() > events[1].score());
+    fn the_dominant_signed_peak_names_the_kind() {
+        assert_eq!(classify(90.0, -1.0), EventKind::DelayChange);
+        assert_eq!(classify(-90.0, 1.0), EventKind::DelayChange);
+        // A tie goes to delay.
+        assert_eq!(classify(5.0, -5.0), EventKind::DelayChange);
+        assert_eq!(classify(0.2, -11.0), EventKind::ForwardingLoss);
+        assert_eq!(classify(0.0, 50.0), EventKind::ForwardingGain);
     }
 }

@@ -15,7 +15,7 @@ pub mod severity;
 
 pub use asmap::AsMapper;
 pub use empathy::{Element, EmpathyExtractor, EventStatus, EventTable, FleetEvent, StreamEvidence};
-pub use events::{Event, EventExtractor, EventKind};
+pub use events::EventKind;
 pub use fleet::{merge_severities, merge_severities_tagged, MergedSeverities};
 pub use magnitude::{AsMagnitude, MagnitudeTracker};
 pub use severity::{delay_severity, forwarding_severity};

@@ -26,13 +26,12 @@ pub struct LinkReference {
 impl LinkReference {
     /// Fresh (un-warmed) reference.
     pub fn new(cfg: &DetectorConfig) -> Self {
-        // The warm-up logic below needs at least one bin, so clamp before
-        // sizing the buffer — with `warmup_bins = 0` the raw value would
-        // reserve nothing while the first update still pushes one stat.
-        let warmup_bins = cfg.warmup_bins.max(1);
+        // The buffer grows on push: `warmup_bins` comes from the config,
+        // which a restored snapshot sets, so reserving it up front would
+        // let an absurd value abort the process at the first new link.
         LinkReference {
-            warmup: Vec::with_capacity(warmup_bins),
-            warmup_bins,
+            warmup: Vec::new(),
+            warmup_bins: cfg.warmup_bins.max(1),
             med: Ewma::new(cfg.alpha),
             lower: Ewma::new(cfg.alpha),
             upper: Ewma::new(cfg.alpha),
@@ -212,13 +211,10 @@ mod tests {
 
     #[test]
     fn zero_warmup_bins_behaves_like_one() {
-        // Regression: `warmup_bins = 0` used to size the warm-up buffer at
-        // zero while the warm-up logic clamped to one bin — the first push
-        // reallocated, and the capacity/logic disagreement hid the clamp.
+        // The warm-up logic clamps `warmup_bins = 0` to one bin.
         let mut c = cfg();
         c.warmup_bins = 0;
         let mut r = LinkReference::new(&c);
-        assert!(r.warmup.capacity() >= 1, "capacity must match the clamp");
         assert!(!r.is_ready());
         r.update(&stat(1.0, 2.0, 3.0));
         assert!(r.is_ready(), "one stat must complete a zero-bin warm-up");

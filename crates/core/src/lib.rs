@@ -158,19 +158,14 @@
 //!   `PINPOINT_CHUNK` ∈ {3, default} × `PINPOINT_PIPELINE` ∈ {2, 1} ×
 //!   `PINPOINT_RADIX` ∈ {on, off} matrix on a multi-core runner).
 //!
-//! Benchmarks: `cargo bench -p pinpoint-bench` (criterion-style suite,
-//! includes parallel-vs-sequential engine benches) and
-//! `cargo run --release -p pinpoint-bench --bin pipeline_bench`, which
-//! writes throughput + speedup numbers to `BENCH_pipeline.json` — seven
-//! workloads: faithful simulator bin, delay-heavy, forwarding-heavy, a
-//! mixed bin loading both shard pipelines in one combined pass, a
-//! three-stream fleet bin pooled through the `StreamRouter`, a
-//! scatter-dominated `ingest_heavy` bin isolating the chunked-ingestion
-//! layer (with its zero-steady-state-insertion guarantee asserted every
-//! run), and a `pipelined_stream` of bins timing the cross-bin executor
-//! at depth 1 vs depth 2 — so the perf trajectory is tracked PR over PR
-//! (`--check` turns a run into a regression gate against the committed
-//! numbers).
+//! Benchmarks: `e2ebench/` (its own workspace, declared in
+//! `BENCHMARK.json`) is the repository's benchmark — three workloads
+//! (`replay_steady`, `replay_fleet_dirty`, `serve_live`), each reporting
+//! end-to-end and per-layer metrics and gating its own correctness every
+//! run (`cargo run --release --offline --manifest-path
+//! e2ebench/Cargo.toml -- --workload <name>`). `cargo bench -p
+//! pinpoint-bench` is a criterion-style suite of hot-path and
+//! parallel-vs-sequential engine benches for local profiling.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

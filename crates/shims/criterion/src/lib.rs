@@ -7,14 +7,7 @@
 //! is warmed up, timed over `sample_size` samples, and reported as
 //! min/median/mean nanoseconds per iteration on stdout — just without
 //! criterion's statistical regression machinery and HTML reports.
-//!
-//! Machine-readable output: when the `CRITERION_JSON` environment variable
-//! names a file, one JSON object per benchmark
-//! (`{"name":…,"median_ns":…,"mean_ns":…,"min_ns":…,"samples":…}`) is
-//! appended to it, which the `pipeline_bench` binary uses to build
-//! `BENCH_pipeline.json`.
 
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 /// How a batched benchmark's per-iteration state is sized (API-compatible).
@@ -128,23 +121,6 @@ impl Criterion {
             m.mean_ns(),
             m.sample_ns.len()
         );
-        if let Ok(path) = std::env::var("CRITERION_JSON") {
-            if let Ok(mut file) = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-            {
-                let _ = writeln!(
-                    file,
-                    "{{\"name\":\"{}\",\"median_ns\":{:.1},\"mean_ns\":{:.1},\"min_ns\":{:.1},\"samples\":{}}}",
-                    m.name,
-                    m.median_ns(),
-                    m.mean_ns(),
-                    m.min_ns(),
-                    m.sample_ns.len()
-                );
-            }
-        }
         self
     }
 }

@@ -9,7 +9,6 @@
 //! cargo run --release --example health_report
 //! ```
 
-use pinpoint::core::aggregate::EventExtractor;
 use pinpoint::scenarios::full;
 use pinpoint::scenarios::runner::figure_ases;
 use pinpoint::scenarios::Scale;
@@ -21,17 +20,18 @@ const REPORT_THRESHOLD: f64 = 3.0;
 const GAP_BINS: u64 = 1;
 
 fn main() {
-    let case = full::case_study(2015, Scale::Small);
+    let mut case = full::case_study(2015, Scale::Small);
+    // The analyzer's event channel reports at the same threshold and gap.
+    case.cfg.event_threshold = REPORT_THRESHOLD;
+    case.cfg.event_gap_bins = GAP_BINS;
     let watched = figure_ases(&case.landmarks);
     println!("Internet Health Report — streaming mode");
     println!("epoch: {} | watching {:?}\n", case.epoch_label, watched);
 
     let mut analyzer = case.analyzer();
-    let mut extractor = EventExtractor::new();
     let mut incidents = 0;
     for (bin, records) in case.platform.stream(case.start_bin, case.end_bin) {
         let report = analyzer.process_bin(bin, &records);
-        extractor.push(bin, &report.magnitudes);
 
         // One status line per "hour" of stream time.
         let total_mag: f64 = report
@@ -75,14 +75,11 @@ fn main() {
     }
     println!("\nstream complete: {incidents} AS-hours crossed the reporting threshold");
 
-    // Consolidated incident report: maximal over-threshold runs per AS,
-    // ranked by peak magnitude (the operator triage list).
+    // Consolidated incident report: the analyzer's events (empathic
+    // alarm clusters blamed on their most-shared element), ranked by
+    // severity — the operator triage list.
     println!("\n=== consolidated incidents (threshold {REPORT_THRESHOLD}) ===");
-    for event in extractor
-        .events_with(REPORT_THRESHOLD, GAP_BINS)
-        .iter()
-        .take(10)
-    {
-        println!("  {event}");
+    for event in analyzer.events().iter().take(10) {
+        println!("  {event} — {:?}", event.kind);
     }
 }

@@ -260,6 +260,47 @@ fn session_checkpoint_resumes_through_ixp_outage() {
     }
 }
 
+/// The most aggressive checkpoint cadence: a session that drains and
+/// snapshots after every bin, and keeps going, reports the uninterrupted
+/// run's bytes and ends in its exact state. Two workers, so depth 2
+/// really overlaps between checkpoints.
+#[test]
+fn checkpoint_after_every_bin_changes_no_report_bytes() {
+    let mut cfg = parity_config();
+    cfg.threads = 2;
+    let bins = schedule();
+    let mut reference = Analyzer::new(cfg.clone(), mapper());
+    let want: Vec<BinReport> = bins
+        .iter()
+        .map(|(bin, records)| reference.process_bin(*bin, records))
+        .collect();
+
+    for depth in [1usize, 2] {
+        let mut analyzer = Analyzer::new(cfg.clone(), mapper());
+        let mut got: Vec<BinReport> = Vec::new();
+        let mut last = Vec::new();
+        {
+            let mut session = analyzer.session(depth);
+            for (bin, records) in &bins {
+                got.extend(session.push_bin(*bin, records));
+                let (flushed, bytes) = session.checkpoint();
+                got.extend(flushed);
+                last = bytes;
+            }
+            got.extend(session.flush());
+        }
+        assert_eq!(got.len(), want.len(), "depth {depth}: report count");
+        for (a, b) in got.iter().zip(&want) {
+            assert_reports_identical(a, b, &format!("depth {depth} bin {:?}", a.bin));
+        }
+        assert_eq!(
+            last,
+            reference.snapshot(),
+            "depth {depth}: the last checkpoint differs from the uninterrupted state"
+        );
+    }
+}
+
 /// Fleet snapshots carry every stream's label and analyzer plus the
 /// fleet-level baseline and event channel; restoring resumes the merged
 /// reports byte-identically.
@@ -394,6 +435,55 @@ fn inflated_magnitude_window_is_rejected_not_an_abort() {
     }
     let mut restored = Analyzer::restore(&both).expect("a consistent window restores");
     restored.process_bin(BinId(100), &delay_records(100, false));
+}
+
+/// An absurd `warmup_bins` in a snapshot's config must not abort the
+/// first link the restored analyzer has never seen: a brand-new link
+/// reference once reserved `warmup_bins` stats up front and aborted the
+/// process on a 32 TiB allocation inside the shard job.
+#[test]
+fn inflated_warmup_bins_does_not_abort_the_first_new_link() {
+    // A distinctive warm-up length so its encoding can be found.
+    const WARMUP: usize = 100_003;
+    let cfg = DetectorConfig {
+        warmup_bins: WARMUP,
+        ..DetectorConfig::fast_test()
+    };
+    let mut analyzer = Analyzer::new(cfg, mapper());
+    for (bin, records) in schedule() {
+        analyzer.process_bin(bin, &records);
+    }
+    let mut bytes = analyzer.snapshot();
+    let needle = (WARMUP as u64).to_le_bytes();
+    let at: Vec<usize> = bytes
+        .windows(needle.len())
+        .enumerate()
+        .filter(|(_, w)| *w == needle)
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(at.len(), 1, "expected one config encoding");
+    bytes[at[0]..at[0] + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    let mut restored = Analyzer::restore(&bytes).expect("the inflated config restores");
+
+    // The schedule's link, moved to addresses the snapshot never saw.
+    let mut fresh = delay_records(100, false);
+    for reply in fresh
+        .iter_mut()
+        .flat_map(|r| r.hops.iter_mut())
+        .flat_map(|h| h.replies.iter_mut())
+    {
+        if let Some(addr) = reply.from {
+            let [a, _, c, d] = addr.octets();
+            if a == 10 {
+                reply.from = Some(Ipv4Addr::new(a, 7, c, d));
+            }
+        }
+    }
+    let report = restored.process_bin(BinId(100), &fresh);
+    assert!(
+        !report.link_stats.is_empty(),
+        "the fresh link never reached the delay references"
+    );
 }
 
 /// Decode a generated spec into a traceroute record (same tiny address
